@@ -8,7 +8,8 @@ listings (``enum``), verification sweeps (``verify``) and table dumps
 produce byte-identical output.
 
 Exit codes: 0 success (or verified), 1 verification found violations,
-2 usage or parse errors, 3 internal inconsistency, 4 resource cap exceeded.
+2 usage or parse errors, 3 internal inconsistency or any other internal
+error, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -45,6 +46,21 @@ from .words import (
 CACHE_MAGIC = "tklwb-cache v1"
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tklwb",
@@ -60,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     parser.add_argument("--cache", help="path of a polynomial cache file to reuse and update")
     parser.add_argument("--cap", type=int, default=10**6, help="element cap for enumerations")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for verify sweeps")
+    parser.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="worker threads for verify sweeps"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial P[y, w]")
@@ -85,16 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("w")
 
     p = sub.add_parser("enum", help="list twisted involutions with rho, ell, ell_star")
-    p.add_argument("max_rho", type=int)
+    p.add_argument("max_rho", type=_int_at_least(0))
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("check", type=str.lower, choices=CHECK_NAMES)
-    p.add_argument("--max-rho", type=int, default=4)
-    p.add_argument("--max-ell", type=int, default=4)
+    p.add_argument("--max-rho", type=_int_at_least(0), default=4)
+    p.add_argument("--max-ell", type=_int_at_least(0), default=4)
 
     p = sub.add_parser("dump", help="write P/Psigma/h/hsigma tables in the cache format")
-    p.add_argument("--max-rho", type=int, default=4)
-    p.add_argument("--max-ell", type=int, default=4)
+    p.add_argument("--max-rho", type=_int_at_least(0), default=4)
+    p.add_argument("--max-ell", type=_int_at_least(0), default=4)
     p.add_argument("--out", help="output path (default: stdout)")
 
     return parser
@@ -108,11 +126,15 @@ def cache_header(spec: CoxeterSpec) -> str:
 
 
 def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> None:
-    """Seed the tables from a cache file; a header mismatch invalidates it."""
+    """Seed the tables from a cache file.  A file with a header mismatch is
+    ignored, and so, with a warning, is one that does not parse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except FileNotFoundError:
+        return
+    except UnicodeDecodeError:
+        print(f"tklwb: warning: ignoring cache {path}: not UTF-8 text", file=sys.stderr)
         return
     if not lines or lines[0] != cache_header(spec):
         return
@@ -124,11 +146,18 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
         fields = line.split("\t")
         if fields[0] in ("h", "hsig"):
             continue
-        if len(fields) != 4 or fields[0] not in ("P", "Psig"):
-            raise ValueError(f"bad cache line: {line!r}")
-        y = parse_word(fields[1], spec.gen_count)
-        w = parse_word(fields[2], spec.gen_count)
-        poly = parse_poly(fields[3])
+        try:
+            if len(fields) != 4 or fields[0] not in ("P", "Psig"):
+                raise ValueError("expected P or Psig and three fields")
+            y = parse_word(fields[1], spec.gen_count)
+            w = parse_word(fields[2], spec.gen_count)
+            poly = parse_poly(fields[3])
+        except ValueError as exc:
+            print(
+                f"tklwb: warning: ignoring cache {path}: bad line {line!r}: {exc}",
+                file=sys.stderr,
+            )
+            return
         (p_entries if fields[0] == "P" else ps_entries)[(y, w)] = poly
     table.seed(p_entries)
     ttable.seed(ps_entries)
@@ -328,6 +357,11 @@ def main(argv=None) -> int:
     except (GeneratorError, NotTwistedInvolution, QFormError, ParityError, ValueError) as exc:
         print(f"tklwb: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A defect or an exhausted resource (say, the recursion limit on a very
+        # long word): one line, never a traceback or the "violations" exit 1.
+        print(f"tklwb: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

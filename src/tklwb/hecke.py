@@ -9,16 +9,16 @@ The Kazhdan-Lusztig polynomials ``P[y, w]`` are produced by two independent
 routes that the test suite holds against each other:
 
 * ``KLTable.oracle_row`` solves for the bar-invariant basis element of ``w``
-  directly: it accumulates ``bar`` of the standard basis elements and, walking
-  the Bruhat interval downward, extracts at each index the unique coefficient
-  with strictly negative v-support.  No multiplication recurrence is involved.
+  directly (`solve_bar_triangular`, which the twisted oracle shares): walking
+  the Bruhat interval downward, it extracts at each index the unique
+  coefficient with strictly negative v-support.  No recurrence is involved.
 * ``KLTable.p`` evaluates the universal two-letter recurrence (with left
   descent reductions) and memoizes single values.
 
 Products in the KL basis use the closed combinatorial form for universal
 systems (`kl_product`, with the correction terms of `kl_correction`), again
 cross-checkable against plain standard-basis multiplication followed by the
-triangular change of basis (`kl_product_direct`).
+triangular change of basis (`kl_product_direct`, `expand_triangular`).
 """
 
 from __future__ import annotations
@@ -169,8 +169,72 @@ def dagger_hecke(spec: CoxeterSpec, h: HeckeElt) -> HeckeElt:
     return HeckeElt(h.param, {dagger(spec, w): f for w, f in h.terms.items()})
 
 
-def _expansion_order(words) -> list[Word]:
-    return sorted(words, key=lambda u: (-len(u), u))
+def _longest_first(u: Word) -> tuple:
+    return (-len(u), u)
+
+
+def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, LaurentPoly]:
+    """The row ``x -> P[x, w]`` of the transition matrix to the canonical basis.
+
+    ``bar_of(x)`` is the bar image of the standard basis element of ``x`` (a
+    sparse word -> polynomial map) and ``interval`` the indices below ``w``.
+    The canonical element ``sum_x v**-len(w) P[x, w] e_x`` is the unique
+    bar-invariant one with ``P[w, w] = 1`` whose lower coefficients have
+    strictly negative v-support after shifting by ``v**len(x)``: walking the
+    interval downward extracts exactly that part.  The result is re-checked
+    for bar-invariance, membership in Z[q], the degree bound and the unit
+    constant term; ``name`` labels the polynomials in error messages.
+    """
+    coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
+    barred: dict[Word, LaurentPoly] = {}
+    add_scaled(barred, bar_of(w), v_power(len(w)))
+    for x in sorted(interval, key=_longest_first):
+        if x == w:
+            continue
+        rhs = barred.get(x, ZERO).shift(len(x))
+        g = rhs.negative_part()
+        if g - g.bar() != rhs:
+            raise InternalInconsistencyError(
+                f"{name} bar solve stuck at {x} below {w}: rhs {rhs}"
+            )
+        if g:
+            px = g.shift(-len(x))
+            coeffs[x] = px
+            add_scaled(barred, bar_of(x), px.bar())
+    if barred != coeffs:
+        raise InternalInconsistencyError(f"solved {name} element for {w} is not bar-invariant")
+    row: dict[Word, LaurentPoly] = {}
+    for x in interval:
+        p = coeffs.get(x, ZERO).shift(len(w))
+        if not p.is_q_poly():
+            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} is not in Z[q]")
+        if x != w and p.max_exp() > len(w) - len(x) - 1:
+            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} breaks the degree bound")
+        if p.coefficient(0) != 1:
+            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} has constant term != 1")
+        row[x] = p
+    return row
+
+
+def expand_triangular(terms: dict, basis_of, param: int) -> dict[Word, LaurentPoly]:
+    """Expand a sparse word -> polynomial map over a unitriangular basis whose
+    element ``basis_of(w)`` has top term ``v**(-param * len(w))`` at ``w``,
+    visiting words by (length descending, lex)."""
+    rem = dict(terms)
+    out: dict[Word, LaurentPoly] = {}
+    while rem:
+        w = min(rem, key=_longest_first)
+        g = rem.pop(w) * v_power(param * len(w))
+        out[w] = g
+        for u, f in basis_of(w).items():
+            if u == w:
+                continue
+            r = rem.get(u, ZERO) - g * f
+            if r:
+                rem[u] = r
+            else:
+                rem.pop(u, None)
+    return out
 
 
 class KLTable:
@@ -225,64 +289,15 @@ class KLTable:
         self._fast[key] = res
         return res
 
-    def diff(self, y: Word, z: Word, w: Word) -> LaurentPoly:
-        """``P[y, w] - P[z, w]`` for ``y <= z``; nonnegative here."""
-        if not bruhat_leq(y, z):
-            raise ValueError("difference requires y <= z in Bruhat order")
-        return self.p(y, w) - self.p(z, w)
-
-    def mu(self, y: Word, w: Word) -> int:
-        """Coefficient of the top allowed q-power in ``P[y, w]`` (0 if none)."""
-        gap = len(w) - len(y)
-        if gap < 1 or gap % 2 == 0:
-            return 0
-        return self.p(y, w).coefficient(gap - 1)
-
     # -- oracle route -------------------------------------------------------
 
     def oracle_row(self, w: Word) -> dict[Word, LaurentPoly]:
-        """All ``P[y, w]`` by the bar-triangular solve; verified before return.
-
-        The element ``sum_y v**-len(w) P[y, w] t_y`` is the unique
-        bar-invariant one with top coefficient ``v**-len(w)`` whose lower
-        coefficients have strictly negative v-support after shifting by
-        ``v**len(y)``; the solve walks the interval downward extracting
-        exactly that part, then re-checks bar-invariance, q-polynomiality,
-        the degree bound, and the unit constant term.
-        """
-        got = self._rows.get(w)
-        if got is not None:
-            return got
-        interval = lower_words(w)
-        coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
-        barred: dict[Word, LaurentPoly] = {}
-        add_scaled(barred, bar_t(w).terms, v_power(len(w)))
-        for x in _expansion_order(interval):
-            if x == w:
-                continue
-            rhs = barred.get(x, ZERO).shift(len(x))
-            g = rhs.negative_part()
-            if g - g.bar() != rhs:
-                raise InternalInconsistencyError(
-                    f"bar solve stuck at {x} below {w}: rhs {rhs}"
-                )
-            if g:
-                px = g.shift(-len(x))
-                coeffs[x] = px
-                add_scaled(barred, bar_t(x).terms, px.bar())
-        if barred != coeffs:
-            raise InternalInconsistencyError(f"solved element for {w} is not bar-invariant")
-        row: dict[Word, LaurentPoly] = {}
-        for x in interval:
-            p = coeffs.get(x, ZERO).shift(len(w))
-            if not p.is_q_poly():
-                raise InternalInconsistencyError(f"P[{x}, {w}] = {p} is not in Z[q]")
-            if x != w and p.max_exp() > len(w) - len(x) - 1:
-                raise InternalInconsistencyError(f"P[{x}, {w}] = {p} breaks the degree bound")
-            if p.coefficient(0) != 1:
-                raise InternalInconsistencyError(f"P[{x}, {w}] = {p} has constant term != 1")
-            row[x] = p
-        self._rows[w] = row
+        """All ``P[y, w]`` by `solve_bar_triangular` with the algebra's bar
+        ``bar(t_x)``, independent of the recurrence; verified before return."""
+        row = self._rows.get(w)
+        if row is None:
+            row = solve_bar_triangular(w, lower_words(w), lambda x: bar_t(x).terms, "P")
+            self._rows[w] = row
         return row
 
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
@@ -314,24 +329,8 @@ class KLTable:
         return elt
 
     def to_kl_basis(self, h: HeckeElt) -> dict[Word, LaurentPoly]:
-        """Expand an element over the KL basis by triangular elimination,
-        visiting words by (length descending, lex)."""
-        rem = dict(h.terms)
-        out: dict[Word, LaurentPoly] = {}
-        while rem:
-            w = min(rem, key=lambda u: (-len(u), u))
-            g = rem.pop(w) * v_power(h.param * len(w))
-            out[w] = g
-            cw = self.basis_element(w, h.param)
-            for u, f in cw.terms.items():
-                if u == w:
-                    continue
-                r = rem.get(u, ZERO) - g * f
-                if r:
-                    rem[u] = r
-                else:
-                    rem.pop(u, None)
-        return out
+        """Expand an element over the KL basis (`expand_triangular`)."""
+        return expand_triangular(h.terms, lambda w: self.basis_element(w, h.param).terms, h.param)
 
     # -- cache support ------------------------------------------------------
 

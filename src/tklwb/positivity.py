@@ -142,440 +142,293 @@ def kl_halves(
     return PlusMinusPair(halve_sum(p, ps, 1), halve_sum(p, ps, -1))
 
 
-def product_halves(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, PlusMinusPair]:
-    """Halves of the triple-product and module-product structure constants,
-    indexed by the twisted involutions in either support."""
+def _product_pairs(spec: CoxeterSpec, x: Word, y: Word):
+    """Yield ``(z, h-tilde, h-sigma)``: the triple-product and module-product
+    structure constants at each twisted involution ``z`` in either support,
+    in word order."""
     ht = triple_product(spec, x, y)
     hs = twisted_product(spec, x, y)
     zs = {z for z in ht if is_twisted_involution(spec, z)} | set(hs)
-    out: dict[Word, PlusMinusPair] = {}
     for z in sorted(zs, key=word_key):
-        a = ht.get(z, ZERO)
-        b = hs.get(z, ZERO)
-        out[z] = PlusMinusPair(halve_sum(a, b, 1), halve_sum(a, b, -1))
-    return out
+        yield z, ht.get(z, ZERO), hs.get(z, ZERO)
 
 
-def _violation(tup: tuple[str, ...], detail: str) -> dict:
-    return {"tuple": list(tup), "detail": detail}
+def product_halves(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, PlusMinusPair]:
+    """Halves of the triple-product and module-product structure constants,
+    indexed by the twisted involutions in either support."""
+    return {
+        z: PlusMinusPair(halve_sum(a, b, 1), halve_sum(a, b, -1))
+        for z, a, b in _product_pairs(spec, x, y)
+    }
 
 
-# Each check builder returns (tuples, state_factory, evaluate) where
-# evaluate(state, t) yields violation dicts.  Sweeps may partition the tuple
-# list across workers; each worker gets a private state so the memo tables
-# stay single-writer.
+def _violation(words: tuple[Word, ...], detail: str) -> dict:
+    return {"tuple": [format_word(u) for u in words], "detail": detail}
 
 
-def _check_a_prime(spec, bounds, cap):
-    tuples = [
-        (w, y)
-        for w in enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-        for y in lower_twisted(spec, w)
+# -- tuple spaces: (spec, bounds, cap) -> the tuples of a check, in canonical order
+
+
+def _words(spec, bounds, cap):
+    return enumerate_words(spec.gen_count, bounds.max_ell, cap)
+
+
+def _involutions(spec, bounds, cap):
+    return enumerate_twisted_involutions(spec, bounds.max_rho, cap)
+
+
+def _word_pairs(spec, bounds, cap):
+    """``(w, y)`` for every word ``w`` and ``y <= w``."""
+    return [(w, y) for w in _words(spec, bounds, cap) for y in lower_words(w)]
+
+
+def _involution_pairs(spec, bounds, cap):
+    """``(w, y)`` for every twisted involution ``w`` and ``y <= w``."""
+    return [(w, y) for w in _involutions(spec, bounds, cap) for y in lower_twisted(spec, w)]
+
+
+def _word_triples(spec, bounds, cap):
+    """``(w, y, z)`` with ``y < z <= w`` among words."""
+    return [
+        (w, y, z)
+        for w in _words(spec, bounds, cap)
+        for below in (lower_words(w),)
+        for y in below
+        for z in below
+        if y != z and bruhat_leq(y, z)
     ]
 
-    def make():
-        return KLTable(), TwistedKLTable(spec)
 
-    def evaluate(state, t):
-        table, ttable = state
-        w, y = t
-        tup = (format_word(y), format_word(w))
-        out = []
-        ps = ttable.p_oracle(y, w)
-        if not ps.is_nonnegative():
-            out.append(_violation(tup, f"Psigma = {ps} has a negative coefficient"))
-        try:
-            pm = kl_halves(table, ttable, y, w)
-        except ParityError as exc:
-            out.append(_violation(tup, f"parity violation: {exc}"))
-            return out
-        if not pm.plus.is_nonnegative():
-            out.append(_violation(tup, f"plus half = {pm.plus} has a negative coefficient"))
-        if not pm.minus.is_nonnegative():
-            out.append(_violation(tup, f"minus half = {pm.minus} has a negative coefficient"))
-        return out
-
-    return tuples, make, evaluate
-
-
-def _check_b_prime(spec, bounds, cap):
-    tuples = []
-    for w in enumerate_twisted_involutions(spec, bounds.max_rho, cap):
-        below = lower_twisted(spec, w)
-        tuples.extend(
-            (w, y, z)
-            for y in below
-            for z in below
-            if y != z and bruhat_leq_twisted(spec, y, z)
-        )
-
-    def make():
-        return KLTable(), TwistedKLTable(spec)
-
-    def evaluate(state, t):
-        table, ttable = state
-        w, y, z = t
-        tup = (format_word(y), format_word(z), format_word(w))
-        out = []
-        ds = ttable.p_oracle(y, w) - ttable.p_oracle(z, w)
-        if not ds.is_nonnegative():
-            out.append(_violation(tup, f"Psigma difference = {ds} has a negative coefficient"))
-        try:
-            py = kl_halves(table, ttable, y, w)
-            pz = kl_halves(table, ttable, z, w)
-        except ParityError as exc:
-            out.append(_violation(tup, f"parity violation: {exc}"))
-            return out
-        dplus = py.plus - pz.plus
-        dminus = py.minus - pz.minus
-        if not dplus.is_nonnegative():
-            out.append(_violation(tup, f"plus difference = {dplus} has a negative coefficient"))
-        if not dminus.is_nonnegative():
-            out.append(_violation(tup, f"minus difference = {dminus} has a negative coefficient"))
-        return out
-
-    return tuples, make, evaluate
-
-
-def _check_c_prime(spec, bounds, cap):
-    words = enumerate_words(spec.gen_count, bounds.max_ell, cap)
-    invs = enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-    tuples = [(x, y) for x in words for y in invs]
-
-    def make():
-        return None
-
-    def evaluate(state, t):
-        x, y = t
-        tup = (format_word(x), format_word(y))
-        out = []
-        try:
-            halves = product_halves(spec, x, y)
-        except ParityError as exc:
-            return [_violation(tup, f"parity violation: {exc}")]
-        for z, pm in halves.items():
-            if not pm.plus.is_nonnegative():
-                out.append(
-                    _violation(tup + (format_word(z),), f"plus half = {pm.plus} negative")
-                )
-            if not pm.minus.is_nonnegative():
-                out.append(
-                    _violation(tup + (format_word(z),), f"minus half = {pm.minus} negative")
-                )
-        return out
-
-    return tuples, make, evaluate
-
-
-def _check_a(spec, bounds, cap):
-    tuples = [
-        (w, y)
-        for w in enumerate_words(spec.gen_count, bounds.max_ell, cap)
-        for y in lower_words(w)
+def _involution_triples(spec, bounds, cap):
+    """``(w, y, z)`` with ``y < z <= w`` among twisted involutions."""
+    return [
+        (w, y, z)
+        for w in _involutions(spec, bounds, cap)
+        for below in (lower_twisted(spec, w),)
+        for y in below
+        for z in below
+        if y != z and bruhat_leq_twisted(spec, y, z)
     ]
 
-    def make():
-        return KLTable()
 
-    def evaluate(table, t):
-        w, y = t
-        p = table.p_oracle(y, w)
-        if not p.is_nonnegative():
-            return [_violation((format_word(y), format_word(w)), f"P = {p} negative")]
-        return []
-
-    return tuples, make, evaluate
+def _involution_singletons(spec, bounds, cap):
+    return [(w,) for w in _involutions(spec, bounds, cap)]
 
 
-def _check_b(spec, bounds, cap):
-    tuples = []
-    for w in enumerate_words(spec.gen_count, bounds.max_ell, cap):
-        below = lower_words(w)
-        tuples.extend(
-            (w, y, z)
-            for y in below
-            for z in below
-            if y != z and bruhat_leq(y, z)
-        )
-
-    def make():
-        return KLTable()
-
-    def evaluate(table, t):
-        w, y, z = t
-        d = table.p_oracle(y, w) - table.p_oracle(z, w)
-        if not d.is_nonnegative():
-            return [
-                _violation(
-                    (format_word(y), format_word(z), format_word(w)),
-                    f"P difference = {d} negative",
-                )
-            ]
-        return []
-
-    return tuples, make, evaluate
+def _word_squares(spec, bounds, cap):
+    words = _words(spec, bounds, cap)
+    return [(x, y) for x in words for y in words]
 
 
-def _check_c(spec, bounds, cap):
-    words = enumerate_words(spec.gen_count, bounds.max_ell, cap)
-    tuples = [(x, y) for x in words for y in words]
-
-    def make():
-        return None
-
-    def evaluate(state, t):
-        x, y = t
-        out = []
-        for z, h in kl_product(x, y).items():
-            if not h.is_nonnegative():
-                out.append(
-                    _violation(
-                        (format_word(x), format_word(y), format_word(z)),
-                        f"h = {h} negative",
-                    )
-                )
-        return out
-
-    return tuples, make, evaluate
+def _involution_squares(spec, bounds, cap):
+    invs = _involutions(spec, bounds, cap)
+    return [(y, w) for y in invs for w in invs]
 
 
-def _check_parity_p(spec, bounds, cap):
-    tuples = [
-        (w, y)
-        for w in enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-        for y in lower_twisted(spec, w)
+def _words_by_involutions(spec, bounds, cap):
+    words = _words(spec, bounds, cap)
+    invs = _involutions(spec, bounds, cap)
+    return [(x, y) for x in words for y in invs]
+
+
+def _both_pairs(spec, bounds, cap):
+    """`_word_pairs` tagged ``"w"``, then `_involution_pairs` tagged ``"i"``."""
+    return [("w",) + t for t in _word_pairs(spec, bounds, cap)] + [
+        ("i",) + t for t in _involution_pairs(spec, bounds, cap)
     ]
 
-    def make():
-        return KLTable(), TwistedKLTable(spec)
 
-    def evaluate(state, t):
-        table, ttable = state
-        w, y = t
-        p = table.p_oracle(y, w)
-        ps = ttable.p_oracle(y, w)
-        if not parity_equal(p, ps):
-            return [
-                _violation(
-                    (format_word(y), format_word(w)),
-                    f"P = {p} and Psigma = {ps} differ mod 2",
-                )
-            ]
-        return []
-
-    return tuples, make, evaluate
-
-
-def _check_parity_h(spec, bounds, cap):
-    words = enumerate_words(spec.gen_count, bounds.max_ell, cap)
-    invs = enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-    tuples = [(x, y) for x in words for y in invs]
-
-    def make():
-        return None
-
-    def evaluate(state, t):
-        x, y = t
-        ht = triple_product(spec, x, y)
-        hs = twisted_product(spec, x, y)
-        zs = {z for z in ht if is_twisted_involution(spec, z)} | set(hs)
-        out = []
-        for z in sorted(zs, key=word_key):
-            a = ht.get(z, ZERO)
-            b = hs.get(z, ZERO)
-            if not parity_equal(a, b):
-                out.append(
-                    _violation(
-                        (format_word(x), format_word(y), format_word(z)),
-                        f"h-tilde = {a} and h-sigma = {b} differ mod 2",
-                    )
-                )
-        return out
-
-    return tuples, make, evaluate
-
-
-def _check_oracle_equivalence(spec, bounds, cap):
-    tuples = [
-        ("w", w, y)
-        for w in enumerate_words(spec.gen_count, bounds.max_ell, cap)
-        for y in lower_words(w)
-    ]
-    tuples += [
-        ("i", w, y)
-        for w in enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-        for y in lower_twisted(spec, w)
-    ]
-
-    def make():
-        return KLTable(), TwistedKLTable(spec)
-
-    def evaluate(state, t):
-        table, ttable = state
-        kind, w, y = t
-        if kind == "w":
-            fast, slow, name = table.p(y, w), table.p_oracle(y, w), "P"
-        else:
-            fast, slow, name = ttable.p(y, w), ttable.p_oracle(y, w), "Psigma"
-        if fast != slow:
-            return [
-                _violation(
-                    (format_word(y), format_word(w)),
-                    f"{name} recurrence gives {fast}, oracle gives {slow}",
-                )
-            ]
-        return []
-
-    return tuples, make, evaluate
-
-
-def _check_rho_grading(spec, bounds, cap):
-    tuples = [(w,) for w in enumerate_twisted_involutions(spec, bounds.max_rho, cap)]
-
-    def make():
-        return None
-
-    def evaluate(state, t):
-        (w,) = t
-        out = []
-        r = rho(spec, w)
-        ls = ell_star(spec, w)
-        if 2 * r != len(w) + ls:
-            out.append(
-                _violation(
-                    (format_word(w),),
-                    f"2*rho = {2 * r} but ell + ell_star = {len(w) + ls}",
-                )
-            )
-        for s in range(spec.gen_count):
-            down = rho(spec, twist(spec, s, w)) == r - 1
-            shorter = len(multiply((s,), w)) == len(w) - 1
-            if down != shorter:
-                out.append(
-                    _violation(
-                        (format_word(w), format_word((s,))),
-                        "rank step disagrees with length step under twist",
-                    )
-                )
-        return out
-
-    return tuples, make, evaluate
-
-
-def _check_bruhat_agreement(spec, bounds, cap):
-    elements = enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-    tuples = [(y, w) for y in elements for w in elements]
-
-    def make():
-        return None
-
-    def evaluate(state, t):
-        y, w = t
-        if bruhat_leq_twisted(spec, y, w) != bruhat_leq(y, w):
-            return [
-                _violation(
-                    (format_word(y), format_word(w)),
-                    "twisted subword order disagrees with Bruhat order",
-                )
-            ]
-        return []
-
-    return tuples, make, evaluate
-
-
-def _check_regular_embedding(spec, bounds, cap):
+def _embedded_pairs(spec, bounds, cap):
     # Meaningful only for a fixed-point-free star; otherwise vacuous.
-    if spec.star_is_fixed_point_free:
-        tuples = [
-            (w, y)
-            for w in enumerate_words(spec.gen_count, bounds.max_ell, cap)
-            for y in lower_words(w)
-        ]
+    return _word_pairs(spec, bounds, cap) if spec.star_is_fixed_point_free else []
+
+
+def _msigma_pairs(spec, bounds, cap):
+    """``(y, w)`` with ``y <= w`` nontrivial twisted involutions of distinct descents."""
+    return [(y, w) for w, y in _involution_pairs(spec, bounds, cap) if w and y and y[0] != w[0]]
+
+
+def _generator_actions(spec, bounds, cap):
+    """``("act", s, w)`` for every generator and twisted involution, then
+    ``("rec", s, w)`` for every nontrivial ``w`` and its descent ``s``."""
+    invs = _involutions(spec, bounds, cap)
+    return [("act", s, w) for s in range(spec.gen_count) for w in invs] + [
+        ("rec", w[0], w) for w in invs if w
+    ]
+
+
+def _product_operands(spec, bounds, cap):
+    """``("kl", x, y)`` over words by words and involutions, then
+    ``("tw", x, y)`` over words by involutions."""
+    words = _words(spec, bounds, cap)
+    invs = _involutions(spec, bounds, cap)
+    right = sorted(set(words) | set(invs), key=word_key)
+    return [("kl", x, y) for x in words for y in right] + [
+        ("tw", x, y) for x in words for y in invs
+    ]
+
+
+# -- evaluators: (state, tuple) -> violations, state = (spec, KLTable, TwistedKLTable)
+
+
+def _eval_a_prime(state, t):
+    _, table, ttable = state
+    w, y = t
+    ps = ttable.p_oracle(y, w)
+    if not ps.is_nonnegative():
+        yield _violation((y, w), f"Psigma = {ps} has a negative coefficient")
+    try:
+        pm = kl_halves(table, ttable, y, w)
+    except ParityError as exc:
+        yield _violation((y, w), f"parity violation: {exc}")
+        return
+    if not pm.plus.is_nonnegative():
+        yield _violation((y, w), f"plus half = {pm.plus} has a negative coefficient")
+    if not pm.minus.is_nonnegative():
+        yield _violation((y, w), f"minus half = {pm.minus} has a negative coefficient")
+
+
+def _eval_b_prime(state, t):
+    _, table, ttable = state
+    w, y, z = t
+    ds = ttable.p_oracle(y, w) - ttable.p_oracle(z, w)
+    if not ds.is_nonnegative():
+        yield _violation((y, z, w), f"Psigma difference = {ds} has a negative coefficient")
+    try:
+        py = kl_halves(table, ttable, y, w)
+        pz = kl_halves(table, ttable, z, w)
+    except ParityError as exc:
+        yield _violation((y, z, w), f"parity violation: {exc}")
+        return
+    dplus = py.plus - pz.plus
+    dminus = py.minus - pz.minus
+    if not dplus.is_nonnegative():
+        yield _violation((y, z, w), f"plus difference = {dplus} has a negative coefficient")
+    if not dminus.is_nonnegative():
+        yield _violation((y, z, w), f"minus difference = {dminus} has a negative coefficient")
+
+
+def _eval_c_prime(state, t):
+    x, y = t
+    try:
+        halves = product_halves(state[0], x, y)
+    except ParityError as exc:
+        yield _violation((x, y), f"parity violation: {exc}")
+        return
+    for z, pm in halves.items():
+        if not pm.plus.is_nonnegative():
+            yield _violation((x, y, z), f"plus half = {pm.plus} negative")
+        if not pm.minus.is_nonnegative():
+            yield _violation((x, y, z), f"minus half = {pm.minus} negative")
+
+
+def _eval_a(state, t):
+    w, y = t
+    p = state[1].p_oracle(y, w)
+    if not p.is_nonnegative():
+        yield _violation((y, w), f"P = {p} negative")
+
+
+def _eval_b(state, t):
+    w, y, z = t
+    table = state[1]
+    d = table.p_oracle(y, w) - table.p_oracle(z, w)
+    if not d.is_nonnegative():
+        yield _violation((y, z, w), f"P difference = {d} negative")
+
+
+def _eval_c(state, t):
+    x, y = t
+    for z, h in kl_product(x, y).items():
+        if not h.is_nonnegative():
+            yield _violation((x, y, z), f"h = {h} negative")
+
+
+def _eval_parity_p(state, t):
+    _, table, ttable = state
+    w, y = t
+    p = table.p_oracle(y, w)
+    ps = ttable.p_oracle(y, w)
+    if not parity_equal(p, ps):
+        yield _violation((y, w), f"P = {p} and Psigma = {ps} differ mod 2")
+
+
+def _eval_parity_h(state, t):
+    x, y = t
+    for z, a, b in _product_pairs(state[0], x, y):
+        if not parity_equal(a, b):
+            yield _violation((x, y, z), f"h-tilde = {a} and h-sigma = {b} differ mod 2")
+
+
+def _eval_oracle_equivalence(state, t):
+    _, table, ttable = state
+    kind, w, y = t
+    if kind == "w":
+        fast, slow, name = table.p(y, w), table.p_oracle(y, w), "P"
     else:
-        tuples = []
-
-    def make():
-        return KLTable(), TwistedKLTable(spec)
-
-    def evaluate(state, t):
-        table, ttable = state
-        w, y = t
-        yy = multiply(star_word(spec, y), inverse(y))
-        ww = multiply(star_word(spec, w), inverse(w))
-        lhs = ttable.p(yy, ww)
-        rhs = substitute_q_squared(table.p(y, w))
-        if lhs != rhs:
-            return [
-                _violation(
-                    (format_word(y), format_word(w)),
-                    f"Psigma[{format_word(yy)}, {format_word(ww)}] = {lhs} "
-                    f"but P(q^2) = {rhs}",
-                )
-            ]
-        return []
-
-    return tuples, make, evaluate
+        fast, slow, name = ttable.p(y, w), ttable.p_oracle(y, w), "Psigma"
+    if fast != slow:
+        yield _violation((y, w), f"{name} recurrence gives {fast}, oracle gives {slow}")
 
 
-def _check_msigma_closed_form(spec, bounds, cap):
-    tuples = []
-    for w in enumerate_twisted_involutions(spec, bounds.max_rho, cap):
-        if not w:
-            continue
-        tuples.extend(
-            (y, w) for y in lower_twisted(spec, w) if y and y[0] != w[0]
+def _eval_rho_grading(state, t):
+    spec = state[0]
+    (w,) = t
+    r = rho(spec, w)
+    ls = ell_star(spec, w)
+    if 2 * r != len(w) + ls:
+        yield _violation((w,), f"2*rho = {2 * r} but ell + ell_star = {len(w) + ls}")
+    for s in range(spec.gen_count):
+        down = rho(spec, twist(spec, s, w)) == r - 1
+        shorter = len(multiply((s,), w)) == len(w) - 1
+        if down != shorter:
+            yield _violation((w, (s,)), "rank step disagrees with length step under twist")
+
+
+def _eval_bruhat_agreement(state, t):
+    y, w = t
+    if bruhat_leq_twisted(state[0], y, w) != bruhat_leq(y, w):
+        yield _violation((y, w), "twisted subword order disagrees with Bruhat order")
+
+
+def _eval_regular_embedding(state, t):
+    spec, table, ttable = state
+    w, y = t
+    yy = multiply(star_word(spec, y), inverse(y))
+    ww = multiply(star_word(spec, w), inverse(w))
+    lhs = ttable.p(yy, ww)
+    rhs = substitute_q_squared(table.p(y, w))
+    if lhs != rhs:
+        yield _violation(
+            (y, w),
+            f"Psigma[{format_word(yy)}, {format_word(ww)}] = {lhs} but P(q^2) = {rhs}",
         )
 
-    def make():
-        return TwistedKLTable(spec)
 
-    def evaluate(ttable, t):
-        y, w = t
-        s, r = y[0], w[0]
-        rwr = multiply(multiply((r,), w), (spec.star[r],))
-        expected = ONE if (y == rwr or (y, w) == ((s,), (r,))) else ZERO
-        got = ttable.cs_coefficient(y, w, s)
-        if got != expected:
-            return [
-                _violation(
-                    (format_word(y), format_word(w), format_word((s,))),
-                    f"coefficient formula gives {got}, closed form gives {expected}",
-                )
-            ]
-        return []
-
-    return tuples, make, evaluate
+def _eval_msigma_closed_form(state, t):
+    spec, _, ttable = state
+    y, w = t
+    s, r = y[0], w[0]
+    rwr = multiply(multiply((r,), w), (spec.star[r],))
+    expected = ONE if (y == rwr or (y, w) == ((s,), (r,))) else ZERO
+    got = ttable.cs_coefficient(y, w, s)
+    if got != expected:
+        yield _violation(
+            (y, w, (s,)), f"coefficient formula gives {got}, closed form gives {expected}"
+        )
 
 
-def _check_mult_formula(spec, bounds, cap):
-    invs = enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-    tuples = [("act", s, w) for s in range(spec.gen_count) for w in invs]
-    tuples += [("rec", w[0], w) for w in invs if w]
-
-    def make():
-        return KLTable(), TwistedKLTable(spec)
-
-    def evaluate(state, t):
-        table, ttable = state
-        kind, s, w = t
-        if kind == "act":
-            return _eval_cs_action(spec, table, ttable, s, w)
-        return _eval_cs_recurrence(spec, ttable, s, w)
-
-    return tuples, make, evaluate
-
-
-def _eval_cs_action(spec, table, ttable, s, w):
-    tup = (format_word((s,)), format_word(w))
-    out = []
+def _eval_mult_formula(state, t):
+    spec, table, ttable = state
+    kind, s, w = t
+    if kind == "rec":
+        yield from _eval_cs_recurrence(spec, ttable, s, w)
+        return
     got = ttable.cs_action(s, w)
-    closed = cs_action_closed(spec, s, w)
-    if got != closed:
-        out.append(_violation(tup, "coefficient expansion disagrees with closed form"))
-    direct = twisted_product_direct(spec, table, ttable, (s,), w)
-    if got != direct:
-        out.append(_violation(tup, "coefficient expansion disagrees with direct action"))
-    return out
+    if got != cs_action_closed(spec, s, w):
+        yield _violation(((s,), w), "coefficient expansion disagrees with closed form")
+    if got != twisted_product_direct(spec, table, ttable, (s,), w):
+        yield _violation(((s,), w), "coefficient expansion disagrees with direct action")
 
 
 def _eval_cs_recurrence(spec, ttable, s, w):
@@ -591,7 +444,6 @@ def _eval_cs_recurrence(spec, ttable, s, w):
     step.  This identity is circular as a computation scheme, so it is only
     ever evaluated as a check.
     """
-    out = []
     pf = ttable.p_oracle
     w1 = twist(spec, s, w)
     c = 1 if multiply((s,), w) == multiply(w, (spec.star[s],)) else 0
@@ -611,62 +463,42 @@ def _eval_cs_recurrence(spec, ttable, s, w):
             if m:
                 rhs = rhs - v_power(len(w) - len(z) + c) * m * pf(y, z)
         if lhs != rhs:
-            out.append(
-                _violation(
-                    (format_word(y), format_word(w), format_word((s,))),
-                    f"coefficient recurrence: lhs {lhs} != rhs {rhs}",
-                )
-            )
-    return out
+            yield _violation((y, w, (s,)), f"coefficient recurrence: lhs {lhs} != rhs {rhs}")
 
 
-def _check_structure_theorems(spec, bounds, cap):
+def _eval_structure_theorems(state, t):
     """Cross-check both product closed forms against the standard-basis routes.
 
     Not in the public check list; the acceptance suite drives it directly.
     """
-    words = enumerate_words(spec.gen_count, bounds.max_ell, cap)
-    invs = enumerate_twisted_involutions(spec, bounds.max_rho, cap)
-    right = sorted(set(words) | set(invs), key=word_key)
-    tuples = [("kl", x, y) for x in words for y in right]
-    tuples += [("tw", x, y) for x in words for y in invs]
-
-    def make():
-        return KLTable(), TwistedKLTable(spec)
-
-    def evaluate(state, t):
-        table, ttable = state
-        kind, x, y = t
-        tup = (format_word(x), format_word(y))
-        if kind == "kl":
-            if kl_product(x, y) != kl_product_direct(table, x, y):
-                return [_violation(tup, "KL product closed form disagrees with direct route")]
-        else:
-            if twisted_product(spec, x, y) != twisted_product_direct(
-                spec, table, ttable, x, y
-            ):
-                return [_violation(tup, "module product closed form disagrees with direct route")]
-        return []
-
-    return tuples, make, evaluate
+    spec, table, ttable = state
+    kind, x, y = t
+    if kind == "kl":
+        if kl_product(x, y) != kl_product_direct(table, x, y):
+            yield _violation((x, y), "KL product closed form disagrees with direct route")
+    elif twisted_product(spec, x, y) != twisted_product_direct(spec, table, ttable, x, y):
+        yield _violation((x, y), "module product closed form disagrees with direct route")
 
 
+# Each check is (tuple space, evaluator).  A sweep may partition the tuple
+# list across workers; each worker gets a private state so the memo tables
+# stay single-writer.
 _CHECKS = {
-    "a-prime": _check_a_prime,
-    "b-prime": _check_b_prime,
-    "c-prime": _check_c_prime,
-    "a": _check_a,
-    "b": _check_b,
-    "c": _check_c,
-    "parity-p": _check_parity_p,
-    "parity-h": _check_parity_h,
-    "oracle-equivalence": _check_oracle_equivalence,
-    "rho-grading": _check_rho_grading,
-    "bruhat-agreement": _check_bruhat_agreement,
-    "regular-embedding": _check_regular_embedding,
-    "msigma-closed-form": _check_msigma_closed_form,
-    "mult-formula": _check_mult_formula,
-    "structure-theorems": _check_structure_theorems,
+    "a-prime": (_involution_pairs, _eval_a_prime),
+    "b-prime": (_involution_triples, _eval_b_prime),
+    "c-prime": (_words_by_involutions, _eval_c_prime),
+    "a": (_word_pairs, _eval_a),
+    "b": (_word_triples, _eval_b),
+    "c": (_word_squares, _eval_c),
+    "parity-p": (_involution_pairs, _eval_parity_p),
+    "parity-h": (_words_by_involutions, _eval_parity_h),
+    "oracle-equivalence": (_both_pairs, _eval_oracle_equivalence),
+    "rho-grading": (_involution_singletons, _eval_rho_grading),
+    "bruhat-agreement": (_involution_squares, _eval_bruhat_agreement),
+    "regular-embedding": (_embedded_pairs, _eval_regular_embedding),
+    "msigma-closed-form": (_msigma_pairs, _eval_msigma_closed_form),
+    "mult-formula": (_generator_actions, _eval_mult_formula),
+    "structure-theorems": (_product_operands, _eval_structure_theorems),
 }
 
 
@@ -687,14 +519,12 @@ def verify(
     if name not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
     start = time.monotonic()
-    tuples, make, evaluate = _CHECKS[name](spec, bounds, cap)
+    space, evaluate = _CHECKS[name]
+    tuples = space(spec, bounds, cap)
 
     def run_chunk(chunk):
-        state = make()
-        found = []
-        for t in chunk:
-            found.extend(evaluate(state, t))
-        return found
+        state = (spec, KLTable(), TwistedKLTable(spec))
+        return [v for t in chunk for v in evaluate(state, t)]
 
     if jobs <= 1 or len(tuples) < 2:
         violations = run_chunk(tuples)

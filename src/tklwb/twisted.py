@@ -9,7 +9,8 @@ transition matrix from the standard basis to the bar-invariant one defines
 the twisted Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
 
 As on the algebra side there are two independent routes to ``Psigma``:
-`TwistedKLTable.oracle_row` (bar-triangular solve, the reference) and
+`TwistedKLTable.oracle_row` (the reference: `hecke.solve_bar_triangular`,
+the solver of the untwisted oracle, run with the module bar operator) and
 `TwistedKLTable.p` (descent reduction plus the universal recurrence).  The
 recurrence route exists because the generic coefficient recurrence is
 circular if applied naively; here it is used only as a checked identity,
@@ -29,11 +30,12 @@ from functools import lru_cache
 
 from .hecke import (
     HeckeElt,
-    InternalInconsistencyError,
     KLTable,
     Q_PLUS_QINV,
     V_PLUS_VINV,
     add_scaled,
+    expand_triangular,
+    solve_bar_triangular,
     t_inverse,
 )
 from .laurent import LaurentPoly, ONE, Q, ZERO, const, v_power
@@ -123,10 +125,6 @@ def bar_module(spec: CoxeterSpec, m: ModuleElt) -> ModuleElt:
     return out
 
 
-def _expansion_order(words) -> list[Word]:
-    return sorted(words, key=lambda u: (-len(u), u))
-
-
 class TwistedKLTable:
     """Memoized twisted Kazhdan-Lusztig data for one spec.
 
@@ -186,53 +184,15 @@ class TwistedKLTable:
     # -- oracle route -------------------------------------------------------
 
     def oracle_row(self, w: Word) -> dict[Word, LaurentPoly]:
-        """All ``Psigma[y, w]`` by the bar-triangular solve in the module.
-
-        Identical in structure to `KLTable.oracle_row`, with the module bar
-        operator in place of the algebra one; verifies bar-invariance, the
-        membership in Z[q], the degree bound and the unit constant term.
-        """
-        got = self._rows.get(w)
-        if got is not None:
-            return got
-        spec = self.spec
-        check_twisted_involution(spec, w)
-        interval = lower_twisted(spec, w)
-        coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
-        barred: ModuleElt = {}
-        add_scaled(barred, bar_basis(spec, w), v_power(len(w)))
-        for x in _expansion_order(interval):
-            if x == w:
-                continue
-            rhs = barred.get(x, ZERO).shift(len(x))
-            g = rhs.negative_part()
-            if g - g.bar() != rhs:
-                raise InternalInconsistencyError(
-                    f"twisted bar solve stuck at {x} below {w}: rhs {rhs}"
-                )
-            if g:
-                px = g.shift(-len(x))
-                coeffs[x] = px
-                add_scaled(barred, bar_basis(spec, x), px.bar())
-        if barred != coeffs:
-            raise InternalInconsistencyError(
-                f"solved twisted element for {w} is not bar-invariant"
-            )
-        row: dict[Word, LaurentPoly] = {}
-        for x in interval:
-            p = coeffs.get(x, ZERO).shift(len(w))
-            if not p.is_q_poly():
-                raise InternalInconsistencyError(f"Psigma[{x}, {w}] = {p} is not in Z[q]")
-            if x != w and p.max_exp() > len(w) - len(x) - 1:
-                raise InternalInconsistencyError(
-                    f"Psigma[{x}, {w}] = {p} breaks the degree bound"
-                )
-            if p.coefficient(0) != 1:
-                raise InternalInconsistencyError(
-                    f"Psigma[{x}, {w}] = {p} has constant term != 1"
-                )
-            row[x] = p
-        self._rows[w] = row
+        """All ``Psigma[y, w]`` by `hecke.solve_bar_triangular` with the
+        module bar operator `bar_basis`; verified before return."""
+        row = self._rows.get(w)
+        if row is None:
+            spec = self.spec
+            check_twisted_involution(spec, w)
+            interval = lower_twisted(spec, w)
+            row = solve_bar_triangular(w, interval, lambda x: bar_basis(spec, x), "Psigma")
+            self._rows[w] = row
         return row
 
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
@@ -326,22 +286,9 @@ class TwistedKLTable:
         return elt
 
     def to_a_basis(self, m: ModuleElt) -> ModuleElt:
-        """Expand a module element over the distinguished basis."""
-        rem = dict(m)
-        out: ModuleElt = {}
-        while rem:
-            w = min(rem, key=lambda u: (-len(u), u))
-            g = rem.pop(w) * v_power(len(w))
-            out[w] = g
-            for u, f in self.a_basis_element(w).items():
-                if u == w:
-                    continue
-                r = rem.get(u, ZERO) - g * f
-                if r:
-                    rem[u] = r
-                else:
-                    rem.pop(u, None)
-        return out
+        """Expand a module element over the distinguished basis
+        (`hecke.expand_triangular`)."""
+        return expand_triangular(m, self.a_basis_element, 1)
 
     # -- difference recurrences ----------------------------------------------
 
@@ -414,51 +361,12 @@ def _alternating(count: int, last: int, other: int) -> Word:
     )
 
 
-def _alternating_from_start(count: int, first: int, second: int) -> Word:
-    """Alternating word of ``count`` letters starting with ``first``."""
-    return tuple(first if i % 2 == 0 else second for i in range(count))
-
-
 def _alternating_twist(spec: CoxeterSpec, i: int, k: int, r: int, s: int) -> Word:
     """The i-th interpolating twisted involution of the augmented recurrences:
     the twist-fold of the alternating word of ``i`` letters, ending in ``s``
     when ``k - i`` is even and in ``r`` otherwise."""
     last, other = (s, r) if (k - i) % 2 == 0 else (r, s)
     return twist_word(spec, _alternating(i, last, other), IDENTITY)
-
-
-def diff_aux_sequences(
-    spec: CoxeterSpec, k: int, r: int, s: int, z: Word
-) -> dict[str, list[Word]]:
-    """Auxiliary element sequences used by the difference recurrences.
-
-    Read-only test support: ``u`` interpolates between the identity and the
-    fold of the length-``k`` alternating word; ``ztilde`` descends from the
-    product of that word with ``z`` by stripping forced right letters; ``z``
-    re-extends each stage by a starred alternating tail (``z_unstarred`` is
-    the same construction without the star, kept to flag where the two
-    disagree).
-    """
-    u = [_alternating_twist(spec, i, k, r, s) for i in range(k + 1)]
-    ztilde: dict[int, Word] = {k + 1: multiply(_alternating(k, s, r), z)}
-    for i in range(k, 0, -1):
-        letter = r if (k - i) % 2 == 0 else s
-        cur = ztilde[i + 1]
-        shorter = multiply(cur, (spec.star[letter],))
-        ztilde[i] = shorter if len(shorter) < len(cur) else cur
-    z_starred: list[Word] = []
-    z_plain: list[Word] = []
-    for i in range(1, k + 1):
-        first, second = (r, s) if (k - i) % 2 == 0 else (s, r)
-        tail = _alternating_from_start(i - 1, first, second)
-        z_starred.append(multiply(ztilde[i], tuple(spec.star[t] for t in tail)))
-        z_plain.append(multiply(ztilde[i], tail))
-    return {
-        "u": u,
-        "ztilde": [ztilde[i] for i in range(1, k + 2)],
-        "z": z_starred,
-        "z_unstarred": z_plain,
-    }
 
 
 def cs_action_closed(spec: CoxeterSpec, s: int, w: Word) -> ModuleElt:

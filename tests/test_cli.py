@@ -161,9 +161,27 @@ def test_gen_count_cap(capsys):
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["--gens", "3", "nosuchcommand"])
-    assert exc.value.code == 2
+    for argv in (
+        ["--gens", "3", "nosuchcommand"],
+        ["--gens", "3", "--jobs", "0", "verify", "a"],
+        ["--gens", "3", "verify", "a", "--max-ell", "-1"],
+        ["--gens", "3", "verify", "a", "--max-rho", "-1"],
+        ["--gens", "3", "dump", "--max-ell", "-1"],
+        ["--gens", "3", "enum", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_unexpected_error_exits_3_without_traceback(capsys):
+    # Far past the recursion limit of the recurrence: the run must end with
+    # the internal-error code and one line on stderr, not exit 1.
+    code = main(["--gens", "2", "kl", "e", "ab" * 600])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("tklwb: internal error: RecursionError")
+    assert err.count("\n") == 1
 
 
 def test_dump_is_deterministic(tmp_path, capsys):
@@ -213,6 +231,19 @@ def test_cache_header_mismatch_invalidates(tmp_path, capsys):
     assert (code, out) == (0, "1\n")
     # the stale header was discarded and the file rewritten for this spec
     assert cache.read_text().splitlines()[0] == "tklwb-cache v1 gens=3 star=id"
+
+
+def test_malformed_cache_is_discarded(tmp_path, capsys):
+    cache = tmp_path / "cache.tsv"
+    for content in (b"tklwb-cache v1 gens=3 star=id\nP\tab\n", b"\xff\xfe"):
+        cache.write_bytes(content)
+        code = main(["--gens", "3", "--star", "id", "--cache", str(cache), "kl", "e", "abcba"])
+        out = capsys.readouterr()
+        assert (code, out.out) == (0, "1+q\n")
+        assert out.err.startswith("tklwb: warning: ignoring cache")
+        lines = cache.read_text().splitlines()
+        assert lines[0] == "tklwb-cache v1 gens=3 star=id"
+        assert "P\te\tabcba\t1+q" in lines
 
 
 def test_cache_accepts_dump_output(tmp_path, capsys):

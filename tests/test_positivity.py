@@ -112,10 +112,11 @@ def test_violations_are_recorded_not_raised():
     # run single-threaded through the internals to control the table.
     from tklwb.positivity import _CHECKS
 
-    tuples, make, evaluate = _CHECKS["oracle-equivalence"](ID3, Bounds(3, 3), 10**6)
-    table, tt = make()
+    space, evaluate = _CHECKS["oracle-equivalence"]
+    table = KLTable()
     table._fast[((), w("abc"))] = parse_poly("1+q")  # wrong on purpose
-    found = []
-    for t in tuples:
-        found.extend(evaluate((table, tt), t))
-    assert any(v["tuple"] == ["e", "abc"] for v in found)
+    state = (ID3, table, TwistedKLTable(ID3))
+    found = [v for t in space(ID3, Bounds(3, 3), 10**6) for v in evaluate(state, t)]
+    assert found == [
+        {"tuple": ["e", "abc"], "detail": "P recurrence gives 1+q, oracle gives 1"}
+    ]

@@ -6,10 +6,11 @@ from tklwb.hecke import KLTable, t_basis
 from tklwb.laurent import ONE, Q, ZERO, parse_poly, substitute_q_squared, v_power
 from tklwb.twisted import (
     TwistedKLTable,
+    _alternating,
+    _alternating_twist,
     bar_basis,
     bar_module,
     cs_action_closed,
-    diff_aux_sequences,
     gen_action,
     hecke_action,
     twisted_correction,
@@ -370,6 +371,42 @@ def test_diff_matches_direct_difference():
 # -- auxiliary sequences -------------------------------------------------------------
 
 
+def _alternating_from_start(count, first, second):
+    """Alternating word of ``count`` letters starting with ``first``."""
+    return tuple(first if i % 2 == 0 else second for i in range(count))
+
+
+def diff_aux_sequences(spec, k, r, s, z):
+    """Auxiliary element sequences of the difference recurrences.
+
+    ``u`` interpolates between the identity and the fold of the length-``k``
+    alternating word; ``ztilde`` descends from the product of that word with
+    ``z`` by stripping forced right letters; ``z`` re-extends each stage by a
+    starred alternating tail (``z_unstarred`` is the same construction
+    without the star, kept to flag where the two disagree).
+    """
+    u = [_alternating_twist(spec, i, k, r, s) for i in range(k + 1)]
+    ztilde = {k + 1: multiply(_alternating(k, s, r), z)}
+    for i in range(k, 0, -1):
+        letter = r if (k - i) % 2 == 0 else s
+        cur = ztilde[i + 1]
+        shorter = multiply(cur, (spec.star[letter],))
+        ztilde[i] = shorter if len(shorter) < len(cur) else cur
+    z_starred = []
+    z_plain = []
+    for i in range(1, k + 1):
+        first, second = (r, s) if (k - i) % 2 == 0 else (s, r)
+        tail = _alternating_from_start(i - 1, first, second)
+        z_starred.append(multiply(ztilde[i], tuple(spec.star[t] for t in tail)))
+        z_plain.append(multiply(ztilde[i], tail))
+    return {
+        "u": u,
+        "ztilde": [ztilde[i] for i in range(1, k + 2)],
+        "z": z_starred,
+        "z_unstarred": z_plain,
+    }
+
+
 def _aux_setup(spec, k, r, s, tail, z):
     """Build the standard difference-tree instance: the alternating prefix of
     k+1 letters starting with s, twisted onto the fold of ``tail``."""
@@ -416,8 +453,8 @@ def test_aux_sequence_identities():
 
 def test_aux_starred_variant_divergence():
     # Where the diagram involution moves the alternating letters, the starred
-    # and unstarred tail constructions genuinely differ; record (do not fail)
-    # the instances, since only the starred form feeds the recurrences.
+    # and unstarred tail constructions genuinely differ; only the starred form
+    # feeds the recurrences.  Pin the instances where they part.
     spec = MIX4
     s, r = 2, 0  # star fixes c, swaps a and b
     differing = []
@@ -428,5 +465,6 @@ def test_aux_starred_variant_divergence():
             for i, (zs, zp) in enumerate(zip(aux["z"], aux["z_unstarred"])):
                 if zs != zp:
                     differing.append((k, ztext, i + 1))
-    print(f"starred/unstarred tail divergences: {differing}")
-    assert isinstance(differing, list)
+    assert differing == [
+        (2, "ab", 2), (2, "dd", 2), (2, "ad", 2), (3, "ab", 3), (3, "dd", 3), (3, "ad", 3)
+    ]
