@@ -29,6 +29,8 @@ from .words import (
     GeneratorError,
     NotTwistedInvolution,
     Word,
+    bruhat_leq,
+    bruhat_leq_twisted,
     check_twisted_involution,
     ell_star,
     enumerate_twisted_involutions,
@@ -75,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     parser.add_argument("--cache", help="path of a polynomial cache file to reuse and update")
-    parser.add_argument("--cap", type=int, default=10**6, help="element cap for enumerations")
+    parser.add_argument(
+        "--cap", type=_int_at_least(0), default=10**6, help="element cap for enumerations"
+    )
     parser.add_argument(
         "--jobs", type=_int_at_least(1), default=1, help="worker threads for verify sweeps"
     )
@@ -127,7 +131,8 @@ def cache_header(spec: CoxeterSpec) -> str:
 
 def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> None:
     """Seed the tables from a cache file.  A file with a header mismatch is
-    ignored, and so, with a warning, is one that does not parse."""
+    ignored, and so, with a warning, is one with a row that does not parse or
+    that fails the checks `hecke.solve_bar_triangular` puts on a solved row."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -152,6 +157,12 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
             y = parse_word(fields[1], spec.gen_count)
             w = parse_word(fields[2], spec.gen_count)
             poly = parse_poly(fields[3])
+            if not (bruhat_leq(y, w) if fields[0] == "P" else bruhat_leq_twisted(spec, y, w)):
+                raise ValueError("y is not below w")
+            # the degree bound is len(w)-len(y)-1 below w and leaves only 1 at w
+            bound = max(len(w) - len(y) - 1, 0)
+            if not poly.is_q_poly() or poly.coefficient(0) != 1 or poly.max_exp() > bound:
+                raise ValueError("not a q-polynomial with constant term 1 within the degree bound")
         except ValueError as exc:
             print(
                 f"tklwb: warning: ignoring cache {path}: bad line {line!r}: {exc}",

@@ -244,8 +244,10 @@ def _embedded_pairs(spec, bounds, cap):
 
 
 def _msigma_pairs(spec, bounds, cap):
-    """``(y, w)`` with ``y <= w`` nontrivial twisted involutions of distinct descents."""
-    return [(y, w) for w, y in _involution_pairs(spec, bounds, cap) if w and y and y[0] != w[0]]
+    """``(y, w, below)``: ``y <= w`` nontrivial twisted involutions of distinct
+    descents, ``below`` the interval of ``w``."""
+    invs = [(w, lower_twisted(spec, w)) for w in _involutions(spec, bounds, cap) if w]
+    return [(y, w, below) for w, below in invs for y in below if y and y[0] != w[0]]
 
 
 def _generator_actions(spec, bounds, cap):
@@ -407,11 +409,11 @@ def _eval_regular_embedding(state, t):
 
 def _eval_msigma_closed_form(state, t):
     spec, _, ttable = state
-    y, w = t
+    y, w, below = t
     s, r = y[0], w[0]
     rwr = multiply(multiply((r,), w), (spec.star[r],))
     expected = ONE if (y == rwr or (y, w) == ((s,), (r,))) else ZERO
-    got = ttable.cs_coefficient(y, w, s)
+    got = ttable.cs_coefficient(y, w, s, interval=below)
     if got != expected:
         yield _violation(
             (y, w, (s,)), f"coefficient formula gives {got}, closed form gives {expected}"
@@ -447,19 +449,20 @@ def _eval_cs_recurrence(spec, ttable, s, w):
     pf = ttable.p_oracle
     w1 = twist(spec, s, w)
     c = 1 if multiply((s,), w) == multiply(w, (spec.star[s],)) else 0
-    for y in lower_twisted(spec, w):
+    interval, interval1 = lower_twisted(spec, w), lower_twisted(spec, w1)
+    for y in interval:
         if not (y and y[0] == s):
             continue
         d = 1 if multiply((s,), y) == multiply(y, (spec.star[s],)) else 0
         lhs = (_QP1 if c else ONE) * pf(y, w)
         rhs = (_QP1 if d else ONE) * pf(twist(spec, s, y), w1)
         rhs = rhs + (_Q2 - (Q if d else ZERO)) * pf(y, w1)
-        for z in lower_twisted(spec, w):
+        for z in interval:
             if z == w or not (z and z[0] == s):
                 continue
-            if not bruhat_leq_twisted(spec, y, z):
+            if not bruhat_leq(y, z):  # agrees with the twisted order here
                 continue
-            m = ttable.cs_coefficient(z, w1, s, pfun=pf)
+            m = ttable.cs_coefficient(z, w1, s, pf, interval1)
             if m:
                 rhs = rhs - v_power(len(w) - len(z) + c) * m * pf(y, z)
         if lhs != rhs:

@@ -43,6 +43,7 @@ from .words import (
     CoxeterSpec,
     IDENTITY,
     Word,
+    bruhat_leq,
     bruhat_leq_twisted,
     check_twisted_involution,
     inverse,
@@ -65,7 +66,8 @@ ModuleElt = dict  # Word -> LaurentPoly, indices twisted involutions
 def gen_action(spec: CoxeterSpec, s: int, m: ModuleElt) -> ModuleElt:
     """Action of the standard generator ``T_s`` on a module element.
 
-    The four cases, with ``u = s # w`` the twist of the index:
+    The four cases, with ``u = s # w`` the twist of the index (``s w`` when
+    the lengths differ by one, ``s w s*`` when by two):
 
         a_u                                   if u == s w s* and longer
         (q+1) a_u + q a_w                     if u == s w and longer
@@ -74,20 +76,15 @@ def gen_action(spec: CoxeterSpec, s: int, m: ModuleElt) -> ModuleElt:
     """
     out: ModuleElt = {}
     for w, f in m.items():
-        sw = multiply((s,), w)
-        if sw == multiply(w, (spec.star[s],)):
-            if len(sw) > len(w):
-                add_scaled(out, {sw: _Q_PLUS_1 * f, w: Q * f}, ONE)
-            else:
-                add_scaled(
-                    out, {sw: _Q2_MINUS_Q * f, w: _Q2_MINUS_Q_MINUS_1 * f}, ONE
-                )
+        u = twist(spec, s, w)
+        if len(u) == len(w) + 1:
+            add_scaled(out, {u: _Q_PLUS_1 * f, w: Q * f}, ONE)
+        elif len(u) == len(w) - 1:
+            add_scaled(out, {u: _Q2_MINUS_Q * f, w: _Q2_MINUS_Q_MINUS_1 * f}, ONE)
+        elif len(u) > len(w):
+            add_scaled(out, {u: f}, ONE)
         else:
-            u = multiply(sw, (spec.star[s],))
-            if len(u) > len(w):
-                add_scaled(out, {u: f}, ONE)
-            else:
-                add_scaled(out, {u: _Q2 * f, w: _Q2_MINUS_1 * f}, ONE)
+            add_scaled(out, {u: _Q2 * f, w: _Q2_MINUS_1 * f}, ONE)
     return out
 
 
@@ -157,14 +154,15 @@ class TwistedKLTable:
         spec = self.spec
         if y == w:
             return ONE
-        if not bruhat_leq_twisted(spec, y, w):
-            return ZERO
-        if len(w) - len(y) <= 2:
-            return ONE
+        # a memoised pair passed the order test when it was stored
         key = (y, w)
         got = self._fast.get(key)
         if got is not None:
             return got
+        if not bruhat_leq_twisted(spec, y, w):
+            return ZERO
+        if len(w) - len(y) <= 2:
+            return ONE
         s = w[0]
         if y and y[0] == s:
             res = self.p(twist(spec, s, y), w)
@@ -214,40 +212,41 @@ class TwistedKLTable:
         p = (pfun or self.p)(y, w)
         return p.coefficient(len(w) - len(y) - 2)
 
-    def mu_s(self, y: Word, w: Word, s: int, pfun=None) -> int:
+    def mu_s(self, y: Word, w: Word, s: int, pfun=None, interval=None) -> int:
         """The corrected even-gap coefficient attached to a generator.
 
         Defined for ``s`` a left descent of ``y`` but not of ``w``:
         ``nu(y, w)`` plus the twist-boundary corrections minus the sum of
         ``mu(y, x) mu(x, w)`` over twisted involutions ``x`` with descent
-        ``s`` between ``y`` and ``w``.
+        ``s`` between ``y`` and ``w``.  A caller that holds
+        ``lower_twisted(spec, w)`` passes it as ``interval``.
         """
         spec = self.spec
         if not (y and y[0] == s) or (w and w[0] == s):
             raise ValueError("mu_s needs s a left descent of y and not of w")
         total = self.nu(y, w, pfun)
-        sy = multiply((s,), y)
-        if sy == multiply(y, (spec.star[s],)):
+        sy, sw = twist(spec, s, y), twist(spec, s, w)
+        if len(sy) == len(y) - 1:  # one-letter steps: s y == y s*, s w == w s*
             total += self.mu(sy, w, pfun)
-        sw = multiply((s,), w)
-        if sw == multiply(w, (spec.star[s],)):
+        if len(sw) == len(w) + 1:
             total -= self.mu(y, sw, pfun)
-        for x in lower_twisted(spec, w):
-            if x and x[0] == s and bruhat_leq_twisted(spec, y, x):
+        # nu checked y, so y and x are twisted involutions: plain order agrees
+        for x in interval or lower_twisted(spec, w):
+            if x and x[0] == s and bruhat_leq(y, x):
                 total -= self.mu(y, x, pfun) * self.mu(x, w, pfun)
         return total
 
-    def cs_coefficient(self, y: Word, w: Word, s: int, pfun=None) -> LaurentPoly:
+    def cs_coefficient(self, y: Word, w: Word, s: int, pfun=None, interval=None) -> LaurentPoly:
         """Coefficient of ``a`` for ``y`` in ``C_s A_w`` below the leading term.
 
         ``mu(y, w) (v + v**-1)`` on an odd length gap, ``mu_s(y, w, s)`` on
-        an even one.
+        an even one; ``interval`` is passed on to `mu_s`.
         """
         if not (y and y[0] == s) or (w and w[0] == s):
             raise ValueError("cs_coefficient needs s a descent of y and not of w")
         if (len(w) - len(y)) % 2:
             return const(self.mu(y, w, pfun)) * V_PLUS_VINV
-        return const(self.mu_s(y, w, s, pfun))
+        return const(self.mu_s(y, w, s, pfun, interval))
 
     # -- products -----------------------------------------------------------
 
@@ -266,9 +265,10 @@ class TwistedKLTable:
         t = twist(spec, s, w)
         lead = V_PLUS_VINV if t == multiply((s,), w) else ONE
         out: ModuleElt = {t: lead}
+        interval = lower_twisted(spec, w)
         for y in lower_twisted(spec, t):
             if y != t and y and y[0] == s:
-                f = self.cs_coefficient(y, w, s, pfun)
+                f = self.cs_coefficient(y, w, s, pfun, interval)
                 if f:
                     out[y] = f
         return out

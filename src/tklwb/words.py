@@ -13,16 +13,23 @@ set of twisted involutions ``w`` with ``w^-1 == w*``, the twist action
 ``s # w`` (``sw`` when ``sw == w s*``, else ``s w s*``), twist expressions
 and their rank function ``rho``, the companion statistic ``ell_star`` with
 ``2*rho == ell + ell_star``, and the subword characterisation of Bruhat
-order on both the full group and the twisted involutions.
+order on both the full group and the twisted involutions.  With no braid
+relations a twisted involution ends in the star of its first letter, so all
+of these are closed forms: ``s # w`` strips both ends of ``w`` when
+``s == w[0]`` and wraps it in ``s ... s*`` otherwise (``(s,)`` at the
+identity when ``s* == s``); the twist expression is the first half
+``w[:(len(w)+1)//2]``; the twisted involutions of rank ``<= r`` are the folds
+of the reduced words of length ``<= r``, and those below ``w`` the folds of
+the subwords of its twist expression.
 
-All functions are pure; words and specs are immutable values.
+All functions are pure; words and specs are immutable values, and the
+module keeps no caches or other state.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 Word = tuple[int, ...]
@@ -184,46 +191,52 @@ def check_twisted_involution(spec: CoxeterSpec, w: Word) -> Word:
     return w
 
 
-@lru_cache(maxsize=None)
 def twist(spec: CoxeterSpec, s: int, w: Word) -> Word:
     """The twist action of a generator on a twisted involution.
 
     Returns ``sw`` if ``sw == w s*`` and ``s w s*`` otherwise; the result is
     again a twisted involution, distinct from ``w``, and applying the same
-    generator twice returns ``w``.
+    generator twice returns ``w``.  As ``w`` ends in ``w[0]*``, the action
+    strips both ends when ``s`` is a descent and wraps ``w`` otherwise.
+    **``w`` must be a twisted involution; on any other word the result is
+    undefined.**  The recurrences twist on every step, so only `twist_word`
+    checks (its start).
     """
-    sw = multiply((s,), w)
-    if sw == multiply(w, (spec.star[s],)):
-        return sw
-    return multiply(sw, (spec.star[s],))
+    if w and w[0] == s:
+        return w[1:-1]
+    t = spec.star[s]
+    if not w and t == s:
+        return (s,)
+    return (s,) + w + (t,)
 
 
 def twist_word(spec: CoxeterSpec, x: Word, w: Word) -> Word:
     """Fold the twist action over the letters of ``x`` (rightmost acts first).
 
     In the universal case this is a genuine group action, so the result only
-    depends on the group element ``x``.
+    depends on the group element ``x``.  ``w`` must be a twisted involution
+    (`NotTwistedInvolution` otherwise); every step keeps it one.
     """
+    check_twisted_involution(spec, w)
     for s in reversed(x):
         w = twist(spec, s, w)
     return w
 
 
-@lru_cache(maxsize=None)
-def twist_expression(spec: CoxeterSpec, w: Word) -> tuple[int, ...]:
-    """The unique reduced twist expression of a twisted involution.
+def _fold(spec: CoxeterSpec, x: Word) -> Word:
+    """``twist_word(spec, x, IDENTITY)`` for reduced ``x``: ``x + dagger(x)``,
+    the middle pair merged when ``x[-1]`` is star-fixed."""
+    d = dagger(spec, x)
+    return x + d[1:] if x and d[0] == x[-1] else x + d
 
-    Peeling the unique left descent repeatedly gives generators
-    ``(s_1, ..., s_k)`` with ``w == s_1 # (s_2 # (... # identity))``; in a
-    universal system this sequence is unique and its length is ``rho(w)``.
+
+def twist_expression(spec: CoxeterSpec, w: Word) -> tuple[int, ...]:
+    """The reduced twist expression ``(s_1, ..., s_k)`` of a twisted
+    involution, ``w == s_1 # (... # (s_k # identity))``: the descents peeled
+    off in turn, which are the first half of ``w``; its length is ``rho(w)``.
     """
     check_twisted_involution(spec, w)
-    out: list[int] = []
-    while w:
-        s = w[0]
-        out.append(s)
-        w = twist(spec, s, w)
-    return tuple(out)
+    return w[: (len(w) + 1) // 2]
 
 
 def rho(spec: CoxeterSpec, w: Word) -> int:
@@ -232,21 +245,11 @@ def rho(spec: CoxeterSpec, w: Word) -> int:
 
 
 def ell_star(spec: CoxeterSpec, w: Word) -> int:
-    """Number of one-letter steps in the descent-stripping trace of ``w``.
-
-    Stripping the descent ``s`` from ``w_prev`` leaves ``w_next``; the step
-    counts when ``s w_next == w_next s*``.  Together with the length this
-    satisfies ``2*rho == ell + ell_star``.
-    """
+    """Number of one-letter steps (``s u == u s*`` for what is left, ``u``)
+    when ``w`` is peeled down by its descents, so ``2*rho == ell + ell_star``.
+    Every step strips both ends but a star-fixed middle letter."""
     check_twisted_involution(spec, w)
-    count = 0
-    while w:
-        s = w[0]
-        u = twist(spec, s, w)
-        if multiply((s,), u) == multiply(u, (spec.star[s],)):
-            count += 1
-        w = u
-    return count
+    return len(w) % 2
 
 
 def bruhat_leq_twisted(spec: CoxeterSpec, y: Word, w: Word) -> bool:
@@ -288,27 +291,17 @@ def enumerate_twisted_involutions(
 ) -> list[Word]:
     """All twisted involutions of rank <= max_rho, in (length, lex) order.
 
+    They are the folds of the reduced words of length <= max_rho, one per
+    word, so the cap counts the same elements.
+
     >>> spec = CoxeterSpec.make(2, "(a b)")
     >>> [format_word(w) for w in enumerate_twisted_involutions(spec, 1)]
     ['e', 'ab', 'ba']
     """
-    seen: set[Word] = {IDENTITY}
-    level: list[Word] = [IDENTITY]
-    for _ in range(max_rho):
-        nxt: set[Word] = set()
-        for w in level:
-            for s in range(spec.gen_count):
-                u = twist(spec, s, w)
-                if len(u) > len(w) and u not in seen:
-                    nxt.add(u)
-        if len(seen) + len(nxt) > cap:
-            raise CapExceeded(f"enumeration exceeds cap of {cap} elements")
-        seen |= nxt
-        level = sorted(nxt, key=word_key)
-    return sorted(seen, key=word_key)
+    folds = [_fold(spec, x) for x in enumerate_words(spec.gen_count, max_rho, cap)]
+    return sorted(folds, key=word_key)
 
 
-@lru_cache(maxsize=None)
 def lower_words(w: Word) -> tuple[Word, ...]:
     """All elements below ``w`` in Bruhat order, in (length, lex) order.
 
@@ -320,15 +313,11 @@ def lower_words(w: Word) -> tuple[Word, ...]:
     return tuple(sorted(out, key=word_key))
 
 
-@lru_cache(maxsize=None)
 def lower_twisted(spec: CoxeterSpec, w: Word) -> tuple[Word, ...]:
-    """All twisted involutions below ``w``, in (length, lex) order."""
-    expr = twist_expression(spec, w)
-    out: set[Word] = {IDENTITY}
-    for s in reversed(expr):
-        out |= {twist(spec, s, u) for u in out}
-    keep = [u for u in out if bruhat_leq_twisted(spec, u, w)]
-    return tuple(sorted(keep, key=word_key))
+    """All twisted involutions below ``w``, in (length, lex) order: the folds
+    of the subwords of its twist expression."""
+    folds = [_fold(spec, x) for x in lower_words(twist_expression(spec, w))]
+    return tuple(sorted(folds, key=word_key))
 
 
 def format_word(w: Word) -> str:

@@ -168,6 +168,7 @@ def test_usage_error_exits_2():
         ["--gens", "3", "verify", "a", "--max-rho", "-1"],
         ["--gens", "3", "dump", "--max-ell", "-1"],
         ["--gens", "3", "enum", "-1"],
+        ["--gens", "3", "--cap", "-1", "enum", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -244,6 +245,42 @@ def test_malformed_cache_is_discarded(tmp_path, capsys):
         lines = cache.read_text().splitlines()
         assert lines[0] == "tklwb-cache v1 gens=3 star=id"
         assert "P\te\tabcba\t1+q" in lines
+
+
+def test_poisoned_cache_is_discarded(tmp_path, capsys):
+    cache = tmp_path / "cache.tsv"
+    cache.write_text("tklwb-cache v1 gens=3 star=id\nP\te\tabcba\t7+q^9\n")
+    code = main(["--gens", "3", "--star", "id", "--cache", str(cache), "kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (0, "1+q\n")
+    assert out.err.startswith("tklwb: warning: ignoring cache")
+    assert out.err.count("\n") == 1
+    saved = cache.read_text()
+    assert "7+q^9" not in saved
+    assert "P\te\tabcba\t1+q" in saved.splitlines()
+
+
+def test_cache_rows_must_be_solver_valid(tmp_path, capsys):
+    header = "tklwb-cache v1 gens=3 star=(a b)\n"
+    cache = tmp_path / "cache.tsv"
+    for row in (
+        "P\tc\taba\t1",          # c is not below aba
+        "P\te\tabcba\tv+q",      # not a polynomial in q
+        "P\te\tabcba\t2+q",      # constant term 2
+        "P\te\tabcba\t1+q^3",    # q^3 breaks the degree bound q^2
+        "P\taba\taba\t1+q",      # P[w, w] is 1
+        "Psig\te\tabc\t1",       # abc is not a twisted involution
+        "Psig\tc\tab\t1",        # c is not below ab
+    ):
+        cache.write_text(header + row + "\n")
+        code = main(["--gens", "3", "--star", "(a b)", "--cache", str(cache), "enum", "0"])
+        err = capsys.readouterr().err
+        assert code == 0, row
+        assert err.startswith("tklwb: warning: ignoring cache"), row
+        assert row not in cache.read_text().splitlines(), row
+    cache.write_text(header + "P\te\tabcba\t1+q\nP\taba\taba\t1\nPsig\te\tab\t1\n")
+    assert main(["--gens", "3", "--star", "(a b)", "--cache", str(cache), "kl", "e", "abcba"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_accepts_dump_output(tmp_path, capsys):

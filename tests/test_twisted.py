@@ -19,6 +19,7 @@ from tklwb.twisted import (
 )
 from tklwb.words import (
     CoxeterSpec,
+    NotTwistedInvolution,
     bruhat_leq,
     bruhat_leq_twisted,
     enumerate_twisted_involutions,
@@ -255,6 +256,9 @@ def test_mu_s_example():
     assert tt.mu_s(w("a"), w("b"), 0) == 1
     with pytest.raises(ValueError):
         tt.mu_s(w("b"), w("b"), 0)
+    # the interval sum uses plain Bruhat order, but y is still checked
+    with pytest.raises(NotTwistedInvolution):
+        tt.mu_s(w("ab"), w("b"), 0)
 
 
 def test_cs_coefficient_closed_form():
@@ -265,12 +269,14 @@ def test_cs_coefficient_closed_form():
                 continue
             r = word[0]
             rwr = multiply(multiply((r,), word), (spec.star[r],))
-            for y in lower_twisted(spec, word):
+            below = lower_twisted(spec, word)
+            for y in below:
                 if not y or y[0] == r:
                     continue
                 s = y[0]
                 expected = ONE if (y == rwr or (y, word) == ((s,), (r,))) else ZERO
                 assert tt.cs_coefficient(y, word, s) == expected
+                assert tt.cs_coefficient(y, word, s, interval=below) == expected
 
 
 def test_cs_action_examples():

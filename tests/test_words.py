@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import tklwb.words
 from tklwb.words import (
     CapExceeded,
     CoxeterSpec,
@@ -30,6 +31,7 @@ from tklwb.words import (
     twist,
     twist_expression,
     twist_word,
+    word_key,
 )
 
 ID3 = CoxeterSpec.make(3, "id")
@@ -155,6 +157,13 @@ def test_twist_word_is_an_action():
     for word in enumerate_twisted_involutions(ID3, 3):
         for x in enumerate_words(3, 3):
             assert twist_word(ID3, inverse(x), twist_word(ID3, x, word)) == word
+
+
+def test_twist_word_rejects_non_involutions():
+    # `twist` itself takes its twisted involution on trust; `twist_word` checks
+    for x in ((), w("a")):
+        with pytest.raises(NotTwistedInvolution):
+            twist_word(ID3, x, w("ab"))
 
 
 def test_twist_expression_examples():
@@ -285,3 +294,111 @@ def test_spec_validation():
         CoxeterSpec(3, (1, 2, 0))
     assert CoxeterSpec.make(2, "(a b)").star_is_fixed_point_free
     assert not ID3.star_is_fixed_point_free
+
+
+# -- closed forms against the generic Coxeter-group loops ----------------------
+#
+# The references below run the twist action, twist expressions, enumeration and
+# intervals as for any Coxeter group, with no use of the universal shape of a
+# twisted involution; the closed forms in `tklwb.words` must agree with them.
+
+
+def ref_twist(spec, s, word):
+    """``sw`` if ``sw == w s*``, else ``s w s*``, through `multiply`."""
+    sw = multiply((s,), word)
+    if sw == multiply(word, (spec.star[s],)):
+        return sw
+    return multiply(sw, (spec.star[s],))
+
+
+def ref_twist_expression(spec, word):
+    """Peel the unique left descent until the identity is reached."""
+    out = []
+    while word:
+        out.append(word[0])
+        word = ref_twist(spec, word[0], word)
+    return tuple(out)
+
+
+def ref_ell_star(spec, word):
+    """Count the peeling steps ``s`` with ``s u == u s*`` on what is left."""
+    count = 0
+    while word:
+        s = word[0]
+        word = ref_twist(spec, s, word)
+        count += multiply((s,), word) == multiply(word, (spec.star[s],))
+    return count
+
+
+def ref_enumerate(spec, max_rho, cap=10**6):
+    """Rank-by-rank search upward through the twist action."""
+    seen, level = {()}, [()]
+    for _ in range(max_rho):
+        nxt = set()
+        for word in level:
+            for s in range(spec.gen_count):
+                u = ref_twist(spec, s, word)
+                if len(u) > len(word) and u not in seen:
+                    nxt.add(u)
+        if len(seen) + len(nxt) > cap:
+            raise CapExceeded(cap)
+        seen |= nxt
+        level = sorted(nxt, key=word_key)
+    return sorted(seen, key=word_key)
+
+
+def ref_lower_twisted(spec, word):
+    """Fold every subsequence of the twist expression, then keep what lies below."""
+    expr = ref_twist_expression(spec, word)
+    out = {()}
+    for s in reversed(expr):
+        out |= {ref_twist(spec, s, u) for u in out}
+    keep = [u for u in out if bruhat_leq(ref_twist_expression(spec, u), expr)]
+    return tuple(sorted(keep, key=word_key))
+
+
+# Every gens 1-5 with ``id`` and, for gens >= 2, other stars: all of them at
+# gens 2 and 3, fixed-point-free ones at gens 2 and 4 (odd gens have none).
+REFERENCE_SPECS = [
+    (CoxeterSpec.make(gens, star), 4 if gens == 5 else 5)
+    for gens, star in [
+        (1, "id"),
+        (2, "id"), (2, "(a b)"),
+        (3, "id"), (3, "(a b)"), (3, "(a c)"), (3, "(b c)"),
+        (4, "id"), (4, "(b c)"), (4, "(a b)(c d)"), (4, "(a d)(b c)"),
+        (5, "id"), (5, "(a e)"), (5, "(a b)(c d)"), (5, "(a c)(b e)"),
+    ]
+]
+
+
+@pytest.mark.parametrize("spec,max_rho", REFERENCE_SPECS, ids=str)
+def test_closed_forms_match_generic_loops(spec, max_rho):
+    elements = ref_enumerate(spec, max_rho)
+    for r in range(max_rho + 1):
+        assert enumerate_twisted_involutions(spec, r) == ref_enumerate(spec, r)
+    for word in elements:
+        assert twist_expression(spec, word) == ref_twist_expression(spec, word)
+        assert ell_star(spec, word) == ref_ell_star(spec, word)
+        assert lower_twisted(spec, word) == ref_lower_twisted(spec, word)
+        for s in range(spec.gen_count):
+            assert twist(spec, s, word) == ref_twist(spec, s, word)
+        assert twist_word(spec, twist_expression(spec, word), ()) == word
+
+
+def test_enumeration_cap_matches_generic_loop():
+    for spec in (ID3, SWAP2, SWAP3):
+        for cap in range(45):
+            try:
+                expected = ref_enumerate(spec, 3, cap)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    enumerate_twisted_involutions(spec, 3, cap)
+            else:
+                assert enumerate_twisted_involutions(spec, 3, cap) == expected
+
+
+def test_words_module_is_stateless():
+    for name, value in vars(tklwb.words).items():
+        assert not hasattr(value, "cache_info"), name
+        if not name.startswith("__"):
+            assert not isinstance(value, (list, dict, set, bytearray)), name
