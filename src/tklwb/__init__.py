@@ -15,7 +15,7 @@ from .words import (
     twist_word,
 )
 from .laurent import LaurentPoly, parse_poly
-from .hecke import HeckeElt, KLTable, kl_product, triple_product
+from .hecke import KLTable, kl_product, triple_product
 from .twisted import TwistedKLTable, twisted_product
 from .positivity import Bounds, SweepReport, kl_halves, product_halves, verify
 
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bounds",
     "CoxeterSpec",
-    "HeckeElt",
     "KLTable",
     "LaurentPoly",
     "SweepReport",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TextIO
 
@@ -175,12 +176,21 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
 
 
 def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> None:
+    """Write the cache to a temporary file beside ``path``, then move it over
+    ``path``: a write that fails leaves the old cache as it was."""
     lines = [cache_header(spec)]
     for tag, snap in (("P", table.snapshot()), ("Psig", ttable.snapshot())):
         for (y, w) in sorted(snap, key=lambda k: (word_key(k[1]), word_key(k[0]))):
             lines.append(f"{tag}\t{format_word(y)}\t{format_word(w)}\t{snap[(y, w)]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # -- output helpers ---------------------------------------------------------

@@ -1,9 +1,8 @@
 """Hecke algebras of a universal Coxeter system and their Kazhdan-Lusztig data.
 
-Two parameters coexist: ``param=1`` is the Hecke algebra with parameter ``q``
-over the lower-case standard basis ``t_w``, and ``param=2`` the algebra with
-parameter ``q**2`` over the upper-case basis ``T_w``.  Elements are sparse
-maps from words to Laurent polynomials, tagged with their parameter.
+The Hecke algebra with parameter ``q`` over the standard basis ``t_w``; its
+elements are sparse maps from words to Laurent polynomials (`Elt`).  The
+parameter-``q**2`` algebra is its image under ``v -> v**2`` (see `twisted`).
 
 The Kazhdan-Lusztig polynomials ``P[y, w]`` are produced by two independent
 routes that the test suite holds against each other:
@@ -23,10 +22,9 @@ triangular change of basis (`kl_product_direct`, `expand_triangular`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_q_squared, v_power
+from .laurent import LaurentPoly, ONE, Q, ZERO, v_power
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -41,46 +39,16 @@ from .words import (
 
 V_PLUS_VINV = v_power(1) + v_power(-1)
 Q_PLUS_QINV = v_power(2) + v_power(-2)
+_Q_MINUS_1 = Q - ONE
+_QINV = v_power(-2)
+_QINV_MINUS_1 = _QINV - ONE
 
 
 class InternalInconsistencyError(RuntimeError):
     """A solved element failed its own verification; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class HeckeElt:
-    """A sparse Hecke algebra element over the standard basis.
-
-    ``param`` selects the parameter ``q**param`` (1 for ``t``, 2 for ``T``);
-    ``terms`` maps words to nonzero Laurent polynomials.  Treat instances as
-    immutable: ``terms`` is never mutated after construction.
-    """
-
-    param: int
-    terms: dict[Word, LaurentPoly]
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        if self.param != other.param:
-            raise ValueError("cannot add elements with different parameters")
-        out = dict(self.terms)
-        add_scaled(out, other.terms, ONE)
-        return HeckeElt(self.param, out)
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        if self.param != other.param:
-            raise ValueError("cannot subtract elements with different parameters")
-        out = dict(self.terms)
-        add_scaled(out, other.terms, const(-1))
-        return HeckeElt(self.param, out)
-
-    def __mul__(self, f) -> "HeckeElt":
-        if isinstance(f, int):
-            f = const(f)
-        out = {}
-        add_scaled(out, self.terms, f)
-        return HeckeElt(self.param, out)
-
-    __rmul__ = __mul__
+Elt = dict  # Word -> nonzero LaurentPoly: an algebra or a module element
 
 
 def add_scaled(acc: dict, terms: dict, factor) -> None:
@@ -93,20 +61,14 @@ def add_scaled(acc: dict, terms: dict, factor) -> None:
             acc.pop(w, None)
 
 
-def t_basis(w: Word, param: int = 1) -> HeckeElt:
-    return HeckeElt(param, {w: ONE})
-
-
-def gen_mul_left(s: int, h: HeckeElt) -> HeckeElt:
+def gen_mul_left(s: int, h: Elt) -> Elt:
     """Left multiplication by the standard basis element of a generator.
 
-    ``t_s t_w`` is ``t_sw`` on an ascent and ``q**e t_sw + (q**e - 1) t_w``
-    on a descent, where ``e`` is the element's parameter.
+    ``t_s t_w`` is ``t_sw`` on an ascent and ``q t_sw + (q - 1) t_w`` on a
+    descent.
     """
-    qe = v_power(2 * h.param)
-    qe1 = qe - ONE
-    out: dict[Word, LaurentPoly] = {}
-    for w, f in h.terms.items():
+    out: Elt = {}
+    for w, f in h.items():
         sw = multiply((s,), w)
         if len(sw) > len(w):
             g = out.get(sw, ZERO) + f
@@ -115,58 +77,55 @@ def gen_mul_left(s: int, h: HeckeElt) -> HeckeElt:
             else:
                 del out[sw]
         else:
-            add_scaled(out, {sw: qe * f, w: qe1 * f}, ONE)
-    return HeckeElt(h.param, out)
+            add_scaled(out, {sw: Q * f, w: _Q_MINUS_1 * f}, ONE)
+    return out
 
 
-def word_mul_left(u: Word, h: HeckeElt) -> HeckeElt:
-    """Left multiplication by ``t_u`` (letters applied innermost-first)."""
-    for s in reversed(u):
-        h = gen_mul_left(s, h)
-    return h
-
-
-def mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    """Product of two elements over the same parameter."""
-    if a.param != b.param:
-        raise ValueError("cannot multiply elements with different parameters")
-    out: dict[Word, LaurentPoly] = {}
-    for u, f in a.terms.items():
-        add_scaled(out, word_mul_left(u, b).terms, f)
-    return HeckeElt(a.param, out)
+def mul(a: Elt, b: Elt) -> Elt:
+    """Product of two algebra elements; ``t_u b`` applies the letters of ``u``
+    innermost-first."""
+    out: Elt = {}
+    for u, f in a.items():
+        h = b
+        for s in reversed(u):
+            h = gen_mul_left(s, h)
+        add_scaled(out, h, f)
+    return out
 
 
 @lru_cache(maxsize=None)
-def t_inverse(w: Word, param: int = 1) -> HeckeElt:
+def t_inverse(w: Word) -> Elt:
     """The inverse of the standard basis element of ``w``.
 
-    For a generator, ``t_s**-1 = q**-e t_s + (q**-e - 1) t_e``; longer words
-    multiply the generator inverses in reverse order.
+    For a generator, ``t_s**-1 = q**-1 t_s + (q**-1 - 1) t_e``; longer words
+    multiply the generator inverses in reverse order.  Returned dicts are
+    shared through the cache; treat them as immutable.
     """
     if not w:
-        return t_basis(IDENTITY, param)
-    x = t_inverse(w[:-1], param)
-    qinv = v_power(-2 * param)
-    qinv1 = qinv - ONE
-    return qinv * gen_mul_left(w[-1], x) + qinv1 * x
+        return {IDENTITY: ONE}
+    x = t_inverse(w[:-1])
+    out: Elt = {}
+    add_scaled(out, gen_mul_left(w[-1], x), _QINV)
+    add_scaled(out, x, _QINV_MINUS_1)
+    return out
 
 
-def bar_t(w: Word, param: int = 1) -> HeckeElt:
+def bar_t(w: Word) -> Elt:
     """``bar(t_w) = (t_{w^-1})^-1``."""
-    return t_inverse(inverse(w), param)
+    return t_inverse(inverse(w))
 
 
-def bar_hecke(h: HeckeElt) -> HeckeElt:
+def bar_hecke(h: Elt) -> Elt:
     """The bar involution: ``v -> v**-1`` on coefficients, ``t_w -> bar(t_w)``."""
-    out: dict[Word, LaurentPoly] = {}
-    for w, f in h.terms.items():
-        add_scaled(out, bar_t(w, h.param).terms, f.bar())
-    return HeckeElt(h.param, out)
+    out: Elt = {}
+    for w, f in h.items():
+        add_scaled(out, bar_t(w), f.bar())
+    return out
 
 
-def dagger_hecke(spec: CoxeterSpec, h: HeckeElt) -> HeckeElt:
+def dagger_hecke(spec: CoxeterSpec, h: Elt) -> Elt:
     """The coefficient-linear anti-automorphism sending ``t_w`` to ``t_dagger(w)``."""
-    return HeckeElt(h.param, {dagger(spec, w): f for w, f in h.terms.items()})
+    return {dagger(spec, w): f for w, f in h.items()}
 
 
 def _longest_first(u: Word) -> tuple:
@@ -216,15 +175,15 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
     return row
 
 
-def expand_triangular(terms: dict, basis_of, param: int) -> dict[Word, LaurentPoly]:
+def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:
     """Expand a sparse word -> polynomial map over a unitriangular basis whose
-    element ``basis_of(w)`` has top term ``v**(-param * len(w))`` at ``w``,
-    visiting words by (length descending, lex)."""
+    element ``basis_of(w)`` has top term ``v**-len(w)`` at ``w``, visiting
+    words by (length descending, lex)."""
     rem = dict(terms)
     out: dict[Word, LaurentPoly] = {}
     while rem:
         w = min(rem, key=_longest_first)
-        g = rem.pop(w) * v_power(param * len(w))
+        g = rem.pop(w) * v_power(len(w))
         out[w] = g
         for u, f in basis_of(w).items():
             if u == w:
@@ -252,7 +211,7 @@ class KLTable:
     def __init__(self) -> None:
         self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
-        self._basis: dict[tuple[Word, int], HeckeElt] = {}
+        self._basis: dict[Word, Elt] = {}
 
     # -- fast route ---------------------------------------------------------
 
@@ -296,7 +255,7 @@ class KLTable:
         ``bar(t_x)``, independent of the recurrence; verified before return."""
         row = self._rows.get(w)
         if row is None:
-            row = solve_bar_triangular(w, lower_words(w), lambda x: bar_t(x).terms, "P")
+            row = solve_bar_triangular(w, lower_words(w), bar_t, "P")
             self._rows[w] = row
         return row
 
@@ -309,28 +268,22 @@ class KLTable:
 
     # -- KL basis -----------------------------------------------------------
 
-    def basis_element(self, w: Word, param: int = 1) -> HeckeElt:
-        """The KL basis element of ``w``: ``v**-len(w) sum_y P[y, w] t_y``
-        for ``param=1`` and ``q**-len(w) sum_y P[y, w](q**2) T_y`` for 2."""
-        key = (w, param)
-        got = self._basis.get(key)
+    def basis_element(self, w: Word) -> Elt:
+        """The KL basis element ``v**-len(w) sum_y P[y, w] t_y`` of ``w``.
+
+        Returned dicts are shared through the memo; treat them as immutable.
+        """
+        got = self._basis.get(w)
         if got is not None:
             return got
-        lead = v_power(-param * len(w))
-        terms: dict[Word, LaurentPoly] = {}
-        for y in lower_words(w):
-            p = self.p(y, w)
-            if param == 2:
-                p = substitute_q_squared(p)
-            if p:
-                terms[y] = lead * p
-        elt = HeckeElt(param, terms)
-        self._basis[key] = elt
+        lead = v_power(-len(w))
+        elt = {y: lead * self.p(y, w) for y in lower_words(w)}
+        self._basis[w] = elt
         return elt
 
-    def to_kl_basis(self, h: HeckeElt) -> dict[Word, LaurentPoly]:
+    def to_kl_basis(self, h: Elt) -> dict[Word, LaurentPoly]:
         """Expand an element over the KL basis (`expand_triangular`)."""
-        return expand_triangular(h.terms, lambda w: self.basis_element(w, h.param).terms, h.param)
+        return expand_triangular(h, self.basis_element)
 
     # -- cache support ------------------------------------------------------
 
@@ -347,15 +300,13 @@ def kl_correction(w: Word, j: int) -> dict[Word, LaurentPoly]:
     Nonzero only for ``2 <= j <= len(w) - 1`` when the letters adjacent to
     position ``j`` agree; then it is the KL-basis class of the word with
     positions ``j, j+1`` removed plus the correction at ``j - 1`` of that
-    shorter word (positions are 1-based).
+    shorter word (positions are 1-based); every coefficient is 1.
     """
-    n = len(w)
-    if not 2 <= j <= n - 1 or w[j - 2] != w[j]:
-        return {}
-    shorter = w[: j - 1] + w[j + 1 :]
-    out = {shorter: ONE}
-    for z, f in kl_correction(shorter, j - 1).items():
-        out[z] = out.get(z, ZERO) + f
+    out: dict[Word, LaurentPoly] = {}
+    while 2 <= j <= len(w) - 1 and w[j - 2] == w[j]:
+        w = w[: j - 1] + w[j + 1 :]
+        out[w] = ONE
+        j -= 1
     return out
 
 
@@ -369,17 +320,14 @@ def kl_product(x: Word, y: Word) -> dict[Word, LaurentPoly]:
     """
     n = len(x)
     if x and y and x[-1] == y[0]:
-        base = multiply(x[:-1], y)
-        vec = {base: ONE}
-        for z, f in kl_correction(base, n).items():
-            vec[z] = vec.get(z, ZERO) + f
-        return {z: V_PLUS_VINV * f for z, f in vec.items()}
-    base = multiply(x, y)
-    vec = {base: ONE}
-    for j in (n, n + 1):
-        for z, f in kl_correction(base, j).items():
-            vec[z] = vec.get(z, ZERO) + f
-    return vec
+        base, factor, js = multiply(x[:-1], y), V_PLUS_VINV, (n,)
+    else:
+        base, factor, js = multiply(x, y), ONE, (n, n + 1)
+    out = {base: factor}
+    for j in js:
+        for z in kl_correction(base, j):
+            out[z] = out.get(z, ZERO) + factor
+    return out
 
 
 def triple_product(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, LaurentPoly]:
@@ -394,8 +342,7 @@ def triple_product(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, LaurentPol
 
 def kl_product_direct(table: KLTable, x: Word, y: Word) -> dict[Word, LaurentPoly]:
     """``c_x c_y`` via standard-basis multiplication and change of basis."""
-    prod = mul(table.basis_element(x), table.basis_element(y))
-    return table.to_kl_basis(prod)
+    return table.to_kl_basis(mul(table.basis_element(x), table.basis_element(y)))
 
 
 def triple_product_direct(

@@ -194,10 +194,14 @@ def as_q_poly(p: LaurentPoly) -> LaurentPoly:
     return p
 
 
+def substitute_v_squared(p: LaurentPoly) -> LaurentPoly:
+    """Map ``p(v)`` to ``p(v**2)`` by doubling every exponent."""
+    return LaurentPoly._make({2 * k: a for k, a in p.c.items()})
+
+
 def substitute_q_squared(p: LaurentPoly) -> LaurentPoly:
     """Map a polynomial ``P(q)`` to ``P(q**2)`` by doubling every exponent."""
-    as_q_poly(p)
-    return LaurentPoly._make({2 * k: a for k, a in p.c.items()})
+    return substitute_v_squared(as_q_poly(p))
 
 
 def parity_equal(f: LaurentPoly, g: LaurentPoly) -> bool:

@@ -8,6 +8,10 @@ acts by ``a_w -> (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}`` (`bar_basis`), and the
 transition matrix from the standard basis to the bar-invariant one defines
 the twisted Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
 
+`hecke` builds only the algebra with parameter ``q``; the parameter-``q**2``
+algebra is its image under ``v -> v**2``, ``t_w -> T_w``, which
+`hecke_action` applies as it acts, so `bar_basis` shares `hecke.t_inverse`.
+
 As on the algebra side there are two independent routes to ``Psigma``:
 `TwistedKLTable.oracle_row` (the reference: `hecke.solve_bar_triangular`,
 the solver of the untwisted oracle, run with the module bar operator) and
@@ -29,16 +33,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .hecke import (
-    HeckeElt,
+    Elt,
     KLTable,
     Q_PLUS_QINV,
     V_PLUS_VINV,
     add_scaled,
+    bar_t,
     expand_triangular,
     solve_bar_triangular,
-    t_inverse,
 )
-from .laurent import LaurentPoly, ONE, Q, ZERO, const, v_power
+from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_v_squared, v_power
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -60,10 +64,8 @@ _Q2_MINUS_Q = _Q2 - Q
 _Q2_MINUS_Q_MINUS_1 = _Q2 - Q - ONE
 _Q2_MINUS_1 = _Q2 - ONE
 
-ModuleElt = dict  # Word -> LaurentPoly, indices twisted involutions
 
-
-def gen_action(spec: CoxeterSpec, s: int, m: ModuleElt) -> ModuleElt:
+def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
     """Action of the standard generator ``T_s`` on a module element.
 
     The four cases, with ``u = s # w`` the twist of the index (``s w`` when
@@ -74,7 +76,7 @@ def gen_action(spec: CoxeterSpec, s: int, m: ModuleElt) -> ModuleElt:
         (q^2-q) a_u + (q^2-q-1) a_w           if u == s w and shorter
         q^2 a_u + (q^2-1) a_w                 if u == s w s* and shorter
     """
-    out: ModuleElt = {}
+    out: Elt = {}
     for w, f in m.items():
         u = twist(spec, s, w)
         if len(u) == len(w) + 1:
@@ -88,35 +90,33 @@ def gen_action(spec: CoxeterSpec, s: int, m: ModuleElt) -> ModuleElt:
     return out
 
 
-def hecke_action(spec: CoxeterSpec, h: HeckeElt, m: ModuleElt) -> ModuleElt:
-    """Act by a parameter-``q**2`` algebra element on a module element."""
-    if h.param != 2:
-        raise ValueError("module action requires parameter q**2 (param=2) elements")
-    out: ModuleElt = {}
-    for u, f in h.terms.items():
-        acted = dict(m)
+def hecke_action(spec: CoxeterSpec, h: Elt, m: Elt) -> Elt:
+    """Act on a module element by the image of an algebra element ``h``
+    under ``v -> v**2``, ``t_u -> T_u``: the parameter-``q**2`` action."""
+    out: Elt = {}
+    for u, f in h.items():
+        acted = m
         for s in reversed(u):
             acted = gen_action(spec, s, acted)
-        add_scaled(out, acted, f)
+        add_scaled(out, acted, substitute_v_squared(f))
     return out
 
 
 @lru_cache(maxsize=None)
-def bar_basis(spec: CoxeterSpec, w: Word) -> ModuleElt:
+def bar_basis(spec: CoxeterSpec, w: Word) -> Elt:
     """``bar(a_w) = (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}``.
 
     Returned dicts are shared through the cache; treat them as immutable.
     """
-    wi = inverse(w)
-    res = hecke_action(spec, t_inverse(wi, 2), {wi: ONE})
+    res = hecke_action(spec, bar_t(w), {inverse(w): ONE})
     if len(w) % 2:
         res = {u: -f for u, f in res.items()}
     return res
 
 
-def bar_module(spec: CoxeterSpec, m: ModuleElt) -> ModuleElt:
+def bar_module(spec: CoxeterSpec, m: Elt) -> Elt:
     """The bar operator, extended by ``bar`` on coefficients."""
-    out: ModuleElt = {}
+    out: Elt = {}
     for w, f in m.items():
         add_scaled(out, bar_basis(spec, w), f.bar())
     return out
@@ -133,7 +133,7 @@ class TwistedKLTable:
         self.spec = spec
         self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
-        self._abasis: dict[Word, ModuleElt] = {}
+        self._abasis: dict[Word, Elt] = {}
         self._diff: dict[tuple[Word, Word, Word], LaurentPoly] = {}
 
     # -- fast route ---------------------------------------------------------
@@ -196,9 +196,12 @@ class TwistedKLTable:
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         if y == w:
             return ONE
-        if not bruhat_leq_twisted(self.spec, y, w):
-            return ZERO
-        return self.oracle_row(w)[y]
+        if len(y) < len(w):  # else y is not below w: build no row for it
+            got = self.oracle_row(w).get(y)
+            if got is not None:
+                return got
+        bruhat_leq_twisted(self.spec, y, w)  # raises for a non-involution
+        return ZERO
 
     # -- top coefficient data -----------------------------------------------
 
@@ -250,7 +253,7 @@ class TwistedKLTable:
 
     # -- products -----------------------------------------------------------
 
-    def cs_action(self, s: int, w: Word, pfun=None) -> ModuleElt:
+    def cs_action(self, s: int, w: Word) -> Elt:
         """``C_s A_w`` in the distinguished basis, from the coefficient data.
 
         ``(q + q**-1) A_w`` on a descent; otherwise the leading term
@@ -264,18 +267,18 @@ class TwistedKLTable:
             return {w: Q_PLUS_QINV}
         t = twist(spec, s, w)
         lead = V_PLUS_VINV if t == multiply((s,), w) else ONE
-        out: ModuleElt = {t: lead}
+        out: Elt = {t: lead}
         interval = lower_twisted(spec, w)
         for y in lower_twisted(spec, t):
             if y != t and y and y[0] == s:
-                f = self.cs_coefficient(y, w, s, pfun, interval)
+                f = self.cs_coefficient(y, w, s, interval=interval)
                 if f:
                     out[y] = f
         return out
 
     # -- distinguished basis --------------------------------------------------
 
-    def a_basis_element(self, w: Word) -> ModuleElt:
+    def a_basis_element(self, w: Word) -> Elt:
         """``A_w = v**-len(w) sum_y Psigma[y, w] a_y`` over the interval."""
         got = self._abasis.get(w)
         if got is not None:
@@ -285,10 +288,10 @@ class TwistedKLTable:
         self._abasis[w] = elt
         return elt
 
-    def to_a_basis(self, m: ModuleElt) -> ModuleElt:
+    def to_a_basis(self, m: Elt) -> Elt:
         """Expand a module element over the distinguished basis
         (`hecke.expand_triangular`)."""
-        return expand_triangular(m, self.a_basis_element, 1)
+        return expand_triangular(m, self.a_basis_element)
 
     # -- difference recurrences ----------------------------------------------
 
@@ -369,7 +372,7 @@ def _alternating_twist(spec: CoxeterSpec, i: int, k: int, r: int, s: int) -> Wor
     return twist_word(spec, _alternating(i, last, other), IDENTITY)
 
 
-def cs_action_closed(spec: CoxeterSpec, s: int, w: Word) -> ModuleElt:
+def cs_action_closed(spec: CoxeterSpec, s: int, w: Word) -> Elt:
     """The universal closed form of ``C_s A_w``.
 
     Descent: ``(q + q**-1) A_w``.  Otherwise ``A_{s#w}`` plus at most one
@@ -385,7 +388,7 @@ def cs_action_closed(spec: CoxeterSpec, s: int, w: Word) -> ModuleElt:
         if spec.star[s] == s:
             return {(s,): V_PLUS_VINV}
         return {twist(spec, s, w): ONE}
-    out: ModuleElt = {twist(spec, s, w): ONE}
+    out: Elt = {twist(spec, s, w): ONE}
     if len(w) == 1:
         if spec.star[s] == s:
             out[(s,)] = ONE
@@ -397,34 +400,29 @@ def cs_action_closed(spec: CoxeterSpec, s: int, w: Word) -> ModuleElt:
     return out
 
 
-def twisted_correction(spec: CoxeterSpec, w: Word, j: int) -> ModuleElt:
+def twisted_correction(spec: CoxeterSpec, w: Word, j: int) -> Elt:
     """Correction terms for products against the distinguished basis.
 
     The analogue of `hecke.kl_correction` over twist expressions, with one
     extra case: at ``j`` equal to the rank, when the last two expression
-    letters are both star-fixed, the last letter may be dropped.
+    letters are both star-fixed, the last letter may be dropped.  Each step
+    shortens the expression, so every coefficient is 1.
     """
+    out: Elt = {}
     expr = twist_expression(spec, w)
-    n = len(expr)
-    if 2 <= j <= n - 1 and expr[j - 2] == expr[j]:
-        shorter = expr[: j - 1] + expr[j + 1 :]
-    elif (
-        j == n
-        and n >= 2
-        and spec.star[expr[n - 2]] == expr[n - 2]
-        and spec.star[expr[n - 1]] == expr[n - 1]
-    ):
-        shorter = expr[: n - 1]
-    else:
-        return {}
-    w2 = twist_word(spec, shorter, IDENTITY)
-    out = {w2: ONE}
-    for z, f in twisted_correction(spec, w2, j - 1).items():
-        out[z] = out.get(z, ZERO) + f
-    return out
+    while True:
+        n = len(expr)
+        if 2 <= j <= n - 1 and expr[j - 2] == expr[j]:
+            expr = expr[: j - 1] + expr[j + 1 :]
+        elif j == n >= 2 and all(spec.star[t] == t for t in expr[-2:]):
+            expr = expr[:-1]
+        else:
+            return out
+        out[twist_word(spec, expr, IDENTITY)] = ONE
+        j -= 1
 
 
-def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> ModuleElt:
+def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
     """Expansion of ``C_x A_y`` over the distinguished basis (closed form).
 
     With ``n = len(x)``: a ``(v + v**-1)`` multiple of the twist-fold class
@@ -436,29 +434,21 @@ def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> ModuleElt:
     check_twisted_involution(spec, y)
     n = len(x)
     if x and not y and spec.star[x[-1]] == x[-1]:
-        w0 = twist_word(spec, x, IDENTITY)
-        vec = {w0: ONE}
-        for z, f in twisted_correction(spec, w0, n).items():
-            vec[z] = vec.get(z, ZERO) + f
-        return {z: V_PLUS_VINV * f for z, f in vec.items()}
-    if x and y and x[-1] == y[0]:
-        w0 = twist_word(spec, x[:-1], y)
-        vec = {w0: ONE}
-        for z, f in twisted_correction(spec, w0, n).items():
-            vec[z] = vec.get(z, ZERO) + f
-        return {z: Q_PLUS_QINV * f for z, f in vec.items()}
-    w0 = twist_word(spec, x, y)
-    vec = {w0: ONE}
-    for j in (n, n + 1):
-        for z, f in twisted_correction(spec, w0, j).items():
-            vec[z] = vec.get(z, ZERO) + f
-    return vec
+        base, factor, js = twist_word(spec, x, IDENTITY), V_PLUS_VINV, (n,)
+    elif x and y and x[-1] == y[0]:
+        base, factor, js = twist_word(spec, x[:-1], y), Q_PLUS_QINV, (n,)
+    else:
+        base, factor, js = twist_word(spec, x, y), ONE, (n, n + 1)
+    out = {base: factor}
+    for j in js:
+        for z in twisted_correction(spec, base, j):
+            out[z] = out.get(z, ZERO) + factor
+    return out
 
 
 def twisted_product_direct(
     spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable, x: Word, y: Word
-) -> ModuleElt:
+) -> Elt:
     """``C_x A_y`` through the standard-basis action, for cross-checks."""
-    cx = table.basis_element(x, 2)
     ay = ttable.a_basis_element(y)
-    return ttable.to_a_basis(hecke_action(spec, cx, ay))
+    return ttable.to_a_basis(hecke_action(spec, table.basis_element(x), ay))

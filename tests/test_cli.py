@@ -223,6 +223,46 @@ def test_cache_round_trip(tmp_path, capsys):
     assert (code, out) == (0, "1+q\n")
 
 
+def test_failed_cache_save_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    import tklwb.cli as cli
+
+    cache = tmp_path / "cache.tsv"
+    args = ["--gens", "3", "--star", "id", "--cache", str(cache)]
+    assert main(args + ["kl", "e", "aba"]) == 0
+    old = cache.read_bytes()
+
+    class HalfWriter:
+        """Writes half of what it is given, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, mode="r", **kwargs):
+        fh = builtins.open(path, mode, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code = main(args + ["kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert "No space left on device" in out.err
+    assert cache.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.tsv"]
+
+
 def test_cache_header_mismatch_invalidates(tmp_path, capsys):
     cache = tmp_path / "cache.tsv"
     cache.write_text("tklwb-cache v1 gens=2 star=id\nP\te\ta\tq^9\n")

@@ -3,8 +3,8 @@
 import pytest
 
 from tklwb.hecke import (
-    HeckeElt,
     KLTable,
+    add_scaled,
     bar_hecke,
     bar_t,
     dagger_hecke,
@@ -13,12 +13,19 @@ from tklwb.hecke import (
     kl_product,
     kl_product_direct,
     mul,
-    t_basis,
     t_inverse,
     triple_product,
     triple_product_direct,
 )
-from tklwb.laurent import ONE, ZERO, parse_poly, v_power
+from tklwb.laurent import (
+    ONE,
+    ZERO,
+    const,
+    parse_poly,
+    substitute_q_squared,
+    substitute_v_squared,
+    v_power,
+)
 from tklwb.words import (
     CoxeterSpec,
     NotTwistedInvolution,
@@ -29,6 +36,7 @@ from tklwb.words import (
     format_word,
     inverse,
     lower_words,
+    multiply,
     parse_word,
     star_word,
 )
@@ -41,69 +49,134 @@ def w(text):
     return parse_word(text, 3)
 
 
-def elt(param, **terms):
-    return HeckeElt(param, {w(k): parse_poly(v) for k, v in terms.items()})
+def elt(**terms):
+    return {w(k): parse_poly(v) for k, v in terms.items()}
+
+
+def doubled(h):
+    """The image of an element under ``v -> v**2``, ``t_w -> T_w``."""
+    return {u: substitute_v_squared(f) for u, f in h.items()}
+
+
+# -- a reference for the algebra with parameter q**2 ---------------------------
+# Built from its own relations, not from the q algebra: T_s T_u is T_su on an
+# ascent and q^2 T_su + (q^2 - 1) T_u on a descent, and
+# T_s^-1 = q^-2 T_s + (q^-2 - 1).
+
+Q2 = v_power(4)
+
+
+def ref_gen_mul_q2(s, h):
+    out = {}
+    for u, f in h.items():
+        su = multiply((s,), u)
+        terms = {su: f} if len(su) > len(u) else {su: Q2 * f, u: (Q2 - ONE) * f}
+        for z, g in terms.items():
+            out[z] = out.get(z, ZERO) + g
+    return {z: g for z, g in out.items() if g}
+
+
+def ref_mul_q2(a, b):
+    out = {}
+    for u, f in a.items():
+        h = b
+        for s in reversed(u):
+            h = ref_gen_mul_q2(s, h)
+        for z, g in h.items():
+            out[z] = out.get(z, ZERO) + f * g
+    return {z: g for z, g in out.items() if g}
+
+
+def ref_t_inverse_q2(word):
+    """``T_word^-1 = T_sk^-1 ... T_s1^-1`` for ``word = s1 ... sk``."""
+    inv = {(): ONE}
+    for s in word:
+        inv = ref_mul_q2({(s,): v_power(-4), (): v_power(-4) - ONE}, inv)
+    return inv
+
+
+def ref_bar_q2(h):
+    """``v -> v**-1`` on coefficients and ``T_u -> (T_{u^-1})^-1``."""
+    out = {}
+    for u, f in h.items():
+        for z, g in ref_t_inverse_q2(inverse(u)).items():
+            out[z] = out.get(z, ZERO) + f.bar() * g
+    return {z: g for z, g in out.items() if g}
 
 
 # -- standard-basis arithmetic -------------------------------------------------
 
 
 def test_gen_mul_left_examples():
-    assert gen_mul_left(0, t_basis(w("a"), 1)) == elt(1, e="q", a="-1+q")
-    assert gen_mul_left(0, t_basis(w("b"), 1)) == elt(1, ab="1")
-    assert gen_mul_left(0, t_basis(w("a"), 2)) == elt(2, e="q^2", a="-1+q^2")
+    assert gen_mul_left(0, {w("a"): ONE}) == elt(e="q", a="-1+q")
+    assert gen_mul_left(0, {w("b"): ONE}) == elt(ab="1")
 
 
 def test_t_inverse_examples():
-    assert t_inverse((), 1) == elt(1, e="1")
-    assert t_inverse(w("a"), 1) == elt(1, a="v^-2", e="-1+v^-2")
+    assert t_inverse(()) == elt(e="1")
+    assert t_inverse(w("a")) == elt(a="v^-2", e="-1+v^-2")
     for text in ("a", "ab", "aba", "abcab", "ababa"):
         word = w(text)
-        assert mul(t_inverse(word, 1), t_basis(word, 1)).terms == {(): ONE}
-        assert mul(t_inverse(word, 2), t_basis(word, 2)).terms == {(): ONE}
+        assert mul(t_inverse(word), {word: ONE}) == {(): ONE}
+        assert ref_mul_q2(doubled(t_inverse(word)), {word: ONE}) == {(): ONE}
 
 
 def test_element_arithmetic():
-    h = elt(1, a="1+q", e="v")
-    k = elt(1, a="q", ab="1")
-    assert h + k == elt(1, a="1+2q", e="v", ab="1")
-    assert (h + k) - k == h
-    assert 2 * h == elt(1, a="2+2q", e="2v")
-    assert parse_poly("v") * k == elt(1, a="v^3", ab="v")
-    with pytest.raises(ValueError):
-        h + elt(2, a="1")
-    with pytest.raises(ValueError):
-        h - elt(2, a="1")
+    h = elt(a="1+q", e="v")
+    k = elt(a="q", ab="1")
+    total = dict(h)
+    add_scaled(total, k, ONE)
+    assert total == elt(a="1+2q", e="v", ab="1")
+    add_scaled(total, k, const(-1))
+    assert total == h
+    twice = {}
+    add_scaled(twice, h, const(2))
+    assert twice == elt(a="2+2q", e="2v")
+    scaled = {}
+    add_scaled(scaled, k, parse_poly("v"))
+    assert scaled == elt(a="v^3", ab="v")
 
 
-def test_mul_is_associative_and_param_checked():
+def test_mul_is_associative():
     words = enumerate_words(3, 2)
     for x in words:
         for y in words:
             for z in [w("ab"), w("ba")]:
-                lhs = mul(mul(t_basis(x, 1), t_basis(y, 1)), t_basis(z, 1))
-                rhs = mul(t_basis(x, 1), mul(t_basis(y, 1), t_basis(z, 1)))
+                lhs = mul(mul({x: ONE}, {y: ONE}), {z: ONE})
+                rhs = mul({x: ONE}, mul({y: ONE}, {z: ONE}))
                 assert lhs == rhs
-    with pytest.raises(ValueError):
-        mul(t_basis((), 1), t_basis((), 2))
+
+
+def test_q_squared_algebra_is_the_doubled_q_algebra():
+    # The algebra with parameter q**2 is the image of the q algebra under
+    # v -> v**2, t_w -> T_w: its inverses and KL basis are the doubled ones.
+    table = KLTable()
+    for word in enumerate_words(3, 5):
+        inv = ref_t_inverse_q2(word)
+        assert ref_mul_q2(inv, {word: ONE}) == {(): ONE}
+        assert doubled(t_inverse(word)) == inv
+        lead = v_power(-2 * len(word))
+        cw = {y: lead * substitute_q_squared(table.p(y, word)) for y in lower_words(word)}
+        assert doubled(table.basis_element(word)) == cw
+        assert ref_bar_q2(cw) == cw
 
 
 def test_bar_examples():
-    assert bar_hecke(t_basis((), 1)) == elt(1, e="1")
-    assert bar_hecke(t_basis(w("a"), 1)) == elt(1, a="v^-2", e="-1+v^-2")
-    assert bar_hecke(HeckeElt(1, {(): v_power(1)})) == HeckeElt(1, {(): v_power(-1)})
+    assert bar_hecke({(): ONE}) == elt(e="1")
+    assert bar_hecke({w("a"): ONE}) == elt(a="v^-2", e="-1+v^-2")
+    assert bar_hecke({(): v_power(1)}) == {(): v_power(-1)}
 
 
 def test_bar_is_involutive():
     for text in ("e", "a", "ab", "aba", "abc"):
-        h = t_basis(w(text), 1)
+        h = {w(text): ONE}
         assert bar_hecke(bar_hecke(h)) == h
-        assert bar_t(w(text), 1) == t_inverse(inverse(w(text)), 1)
+        assert bar_t(w(text)) == t_inverse(inverse(w(text)))
 
 
 def test_dagger_examples():
-    assert dagger_hecke(ID3, t_basis(w("ab"), 1)) == elt(1, ba="1")
-    h = elt(1, ab="1+q", e="v")
+    assert dagger_hecke(ID3, {w("ab"): ONE}) == elt(ba="1")
+    h = elt(ab="1+q", e="v")
     assert dagger_hecke(ID3, dagger_hecke(ID3, h)) == h
 
 
@@ -111,10 +184,8 @@ def test_dagger_is_an_antiautomorphism():
     for spec in (ID3, SWAP3):
         for x in enumerate_words(3, 2):
             for y in enumerate_words(3, 2):
-                lhs = dagger_hecke(spec, mul(t_basis(x, 1), t_basis(y, 1)))
-                rhs = mul(
-                    dagger_hecke(spec, t_basis(y, 1)), dagger_hecke(spec, t_basis(x, 1))
-                )
+                lhs = dagger_hecke(spec, mul({x: ONE}, {y: ONE}))
+                rhs = mul(dagger_hecke(spec, {y: ONE}), dagger_hecke(spec, {x: ONE}))
                 assert lhs == rhs
 
 
@@ -179,10 +250,12 @@ def test_oracle_detects_corruption(monkeypatch):
 
     real = hecke.bar_t
 
-    def corrupted(word, param=1):
+    def corrupted(word):
         if word == w("ab"):
-            return real(word, param) + t_basis((), param)
-        return real(word, param)
+            out = dict(real(word))  # the cached dict is shared: copy it
+            add_scaled(out, {(): ONE}, ONE)
+            return out
+        return real(word)
 
     monkeypatch.setattr(hecke, "bar_t", corrupted)
     with pytest.raises(hecke.InternalInconsistencyError):
@@ -268,30 +341,26 @@ def test_mu_examples():
 
 def test_basis_element_examples():
     table = KLTable()
-    assert table.basis_element(()) == elt(1, e="1")
-    assert table.basis_element(w("a")) == HeckeElt(
-        1, {w("a"): v_power(-1), (): v_power(-1)}
-    )
-    assert table.basis_element(w("a"), 2) == HeckeElt(
-        2, {w("a"): v_power(-2), (): v_power(-2)}
-    )
+    assert table.basis_element(()) == elt(e="1")
+    assert table.basis_element(w("a")) == {w("a"): v_power(-1), (): v_power(-1)}
+    assert doubled(table.basis_element(w("a"))) == {w("a"): v_power(-2), (): v_power(-2)}
 
 
 def test_basis_elements_are_bar_invariant():
     table = KLTable()
     for word in enumerate_words(3, 4):
-        for param in (1, 2):
-            cw = table.basis_element(word, param)
-            assert bar_hecke(cw) == cw
+        cw = table.basis_element(word)
+        assert bar_hecke(cw) == cw
+        assert ref_bar_q2(doubled(cw)) == doubled(cw)
 
 
 def test_to_kl_basis_round_trip():
     table = KLTable()
-    h = elt(1, aba="1+q", ab="v", e="v^-1+v")
+    h = elt(aba="1+q", ab="v", e="v^-1+v")
     coeffs = table.to_kl_basis(h)
-    total = HeckeElt(1, {})
+    total = {}
     for z, f in coeffs.items():
-        total = total + f * table.basis_element(z)
+        add_scaled(total, table.basis_element(z), f)
     assert total == h
 
 

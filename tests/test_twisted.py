@@ -2,8 +2,8 @@
 
 import pytest
 
-from tklwb.hecke import KLTable, t_basis
-from tklwb.laurent import ONE, Q, ZERO, parse_poly, substitute_q_squared, v_power
+from tklwb.hecke import KLTable, t_inverse
+from tklwb.laurent import ONE, Q, V, ZERO, parse_poly, substitute_q_squared, v_power
 from tklwb.twisted import (
     TwistedKLTable,
     _alternating,
@@ -75,23 +75,28 @@ def test_gen_action_satisfies_quadratic_relation():
 
 def test_hecke_action_examples():
     m = melt(ab="v", e="1")
-    assert hecke_action(ID3, t_basis((), 2), m) == m
-    lhs = hecke_action(ID3, t_basis(w("ab"), 2), {(): ONE})
+    assert hecke_action(ID3, {(): ONE}, m) == m
+    lhs = hecke_action(ID3, {w("ab"): ONE}, {(): ONE})
     rhs = gen_action(ID3, 0, gen_action(ID3, 1, {(): ONE}))
     assert lhs == rhs
-    assert hecke_action(ID3, Q * t_basis((), 2), {w("a"): ONE}) == {w("a"): Q}
+    # coefficients act through v -> v**2
+    assert hecke_action(ID3, {(): V}, {w("a"): ONE}) == {w("a"): Q}
 
 
-def test_hecke_action_requires_param_2():
-    with pytest.raises(ValueError):
-        hecke_action(ID3, t_basis((), 1), {(): ONE})
+def test_hecke_action_inverts_through_t_inverse():
+    for spec in SPECS:
+        ms = [{word: ONE} for word in enumerate_twisted_involutions(spec, 2)]
+        ms.append({u: parse_poly("v^-1+2q") for u in enumerate_twisted_involutions(spec, 1)})
+        for u in enumerate_words(spec.gen_count, 3):
+            for m in ms:
+                assert hecke_action(spec, t_inverse(u), hecke_action(spec, {u: ONE}, m)) == m
 
 
 def test_hecke_action_is_compatible_with_multiplication():
     from tklwb.hecke import mul
 
     for spec in (ID3, SWAP3):
-        elements = [t_basis(w(t), 2) for t in ("a", "ab", "ba", "abc")]
+        elements = [{w(t): ONE} for t in ("a", "ab", "ba", "abc")]
         for h1 in elements:
             for h2 in elements:
                 for word in enumerate_twisted_involutions(spec, 2):
@@ -125,7 +130,7 @@ def test_bar_is_compatible_with_the_action():
                 from tklwb.hecke import bar_hecke
 
                 rhs = hecke_action(
-                    spec, bar_hecke(t_basis((s,), 2)), bar_module(spec, {word: ONE})
+                    spec, bar_hecke({(s,): ONE}), bar_module(spec, {word: ONE})
                 )
                 assert lhs == rhs
 
@@ -137,6 +142,30 @@ def test_oracle_examples():
     tt = TwistedKLTable(ID3)
     assert tt.oracle_row(()) == {(): ONE}
     assert tt.oracle_row(w("a")) == {(): ONE, w("a"): ONE}
+
+
+def test_p_oracle_reads_a_warm_row_without_order_tests(monkeypatch):
+    import tklwb.twisted as twisted
+
+    tt = TwistedKLTable(ID3)
+    word = w("abcba")
+    row = tt.oracle_row(word)
+    real = twisted.bruhat_leq_twisted
+    calls = []
+
+    def counted(spec, y, x):
+        calls.append((y, x))
+        return real(spec, y, x)
+
+    monkeypatch.setattr(twisted, "bruhat_leq_twisted", counted)
+    for y, p in row.items():
+        assert tt.p_oracle(y, word) == p
+    assert calls == []
+    # outside the row: a twisted involution gives 0, any other word raises
+    assert tt.p_oracle(w("bab"), word) == ZERO
+    with pytest.raises(NotTwistedInvolution):
+        tt.p_oracle(w("ab"), word)
+    assert calls == [(w("bab"), word), (w("ab"), word)]
 
 
 # Frozen reference row for the rank-3 element abcba, from a verified oracle
