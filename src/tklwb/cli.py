@@ -8,8 +8,9 @@ listings (``enum``), verification sweeps (``verify``) and table dumps
 produce byte-identical output.
 
 Exit codes: 0 success (or verified), 1 verification found violations,
-2 usage or parse errors, 3 internal inconsistency or any other internal
-error, 4 resource cap exceeded.
+2 usage or parse errors, or an I/O error on the ``--cache`` or ``dump --out``
+file, 3 internal inconsistency or any other internal error, 4 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -126,6 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 # -- cache ------------------------------------------------------------------
 
 
+def _file_error(action: str, path: str, exc: OSError) -> ValueError:
+    """An I/O error on a file the user named, reported as a usage error."""
+    return ValueError(f"cannot {action} {path}: {exc.strerror or exc}")
+
+
 def cache_header(spec: CoxeterSpec) -> str:
     return f"{CACHE_MAGIC} gens={spec.gen_count} star={format_star(spec.star)}"
 
@@ -142,6 +148,8 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
     except UnicodeDecodeError:
         print(f"tklwb: warning: ignoring cache {path}: not UTF-8 text", file=sys.stderr)
         return
+    except OSError as exc:
+        raise _file_error("read cache", path, exc) from exc
     if not lines or lines[0] != cache_header(spec):
         return
     p_entries: dict[tuple[Word, Word], LaurentPoly] = {}
@@ -187,10 +195,11 @@ def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise _file_error("write cache", path, exc) from exc
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
 
 
 # -- output helpers ---------------------------------------------------------
@@ -337,8 +346,11 @@ def _cmd_dump(args, spec, table, ttable, out) -> int:
                 )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _file_error("write", args.out, exc) from exc
     else:
         out.write(text)
     return 0

@@ -4,13 +4,17 @@ The Hecke algebra with parameter ``q`` over the standard basis ``t_w``; its
 elements are sparse maps from words to Laurent polynomials (`Elt`).  The
 parameter-``q**2`` algebra is its image under ``v -> v**2`` (see `twisted`).
 
-The Kazhdan-Lusztig polynomials ``P[y, w]`` are produced by two independent
-routes that the test suite holds against each other:
+``P`` here and ``Psigma`` in `twisted` are built the same way: each is the
+transition matrix from a standard basis to the unique bar-invariant one.
+`_Table` holds what the two tables share: the memos, the interval below each
+index, the oracle row (`solve_bar_triangular`) and the basis element.  The
+polynomials come by two independent routes that the test suite holds
+against each other:
 
-* ``KLTable.oracle_row`` solves for the bar-invariant basis element of ``w``
-  directly (`solve_bar_triangular`, which the twisted oracle shares): walking
-  the Bruhat interval downward, it extracts at each index the unique
-  coefficient with strictly negative v-support.  No recurrence is involved.
+* ``oracle_row`` solves for the bar-invariant basis element of ``w``
+  directly: walking the Bruhat interval downward, it extracts at each index
+  the unique coefficient with strictly negative v-support.  No recurrence is
+  involved.
 * ``KLTable.p`` evaluates the universal two-letter recurrence (with left
   descent reductions) and memoizes single values.
 
@@ -51,14 +55,19 @@ class InternalInconsistencyError(RuntimeError):
 Elt = dict  # Word -> nonzero LaurentPoly: an algebra or a module element
 
 
+def accumulate(acc: dict, w: Word, f: LaurentPoly) -> None:
+    """``acc[w] += f``, dropping the entry when it cancels."""
+    g = acc.get(w, ZERO) + f
+    if g:
+        acc[w] = g
+    else:
+        acc.pop(w, None)
+
+
 def add_scaled(acc: dict, terms: dict, factor) -> None:
     """``acc += factor * terms`` for sparse word->polynomial maps."""
     for w, f in terms.items():
-        g = acc.get(w, ZERO) + factor * f
-        if g:
-            acc[w] = g
-        else:
-            acc.pop(w, None)
+        accumulate(acc, w, factor * f)
 
 
 def gen_mul_left(s: int, h: Elt) -> Elt:
@@ -71,13 +80,10 @@ def gen_mul_left(s: int, h: Elt) -> Elt:
     for w, f in h.items():
         sw = multiply((s,), w)
         if len(sw) > len(w):
-            g = out.get(sw, ZERO) + f
-            if g:
-                out[sw] = g
-            else:
-                del out[sw]
+            accumulate(out, sw, f)
         else:
-            add_scaled(out, {sw: Q * f, w: _Q_MINUS_1 * f}, ONE)
+            accumulate(out, sw, Q * f)
+            accumulate(out, w, _Q_MINUS_1 * f)
     return out
 
 
@@ -113,19 +119,6 @@ def t_inverse(w: Word) -> Elt:
 def bar_t(w: Word) -> Elt:
     """``bar(t_w) = (t_{w^-1})^-1``."""
     return t_inverse(inverse(w))
-
-
-def bar_hecke(h: Elt) -> Elt:
-    """The bar involution: ``v -> v**-1`` on coefficients, ``t_w -> bar(t_w)``."""
-    out: Elt = {}
-    for w, f in h.items():
-        add_scaled(out, bar_t(w), f.bar())
-    return out
-
-
-def dagger_hecke(spec: CoxeterSpec, h: Elt) -> Elt:
-    """The coefficient-linear anti-automorphism sending ``t_w`` to ``t_dagger(w)``."""
-    return {dagger(spec, w): f for w, f in h.items()}
 
 
 def _longest_first(u: Word) -> tuple:
@@ -185,24 +178,23 @@ def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:
         w = min(rem, key=_longest_first)
         g = rem.pop(w) * v_power(len(w))
         out[w] = g
+        minus_g = -g
         for u, f in basis_of(w).items():
-            if u == w:
-                continue
-            r = rem.get(u, ZERO) - g * f
-            if r:
-                rem[u] = r
-            else:
-                rem.pop(u, None)
+            if u != w:
+                accumulate(rem, u, minus_g * f)
     return out
 
 
-class KLTable:
-    """Memoized Kazhdan-Lusztig data of a universal system.
+class _Table:
+    """The memos of a Kazhdan-Lusztig table and what is built from them.
 
-    The polynomials do not depend on the diagram involution, nor on the
-    generator count beyond the letters appearing in the indexing words, so
-    one table serves any spec.  The fast recurrence memo and the oracle row
-    memo are kept separate so the two routes stay independent.
+    A subclass gives the recurrence ``p``, the interval rule ``_below(w)``
+    (the indices below ``w``, in (length, lex) order), the bar image
+    ``_bar(x)`` of the standard basis element of ``x`` and the ``name`` of
+    its polynomials in oracle error messages.  The recurrence memo
+    and the oracle rows are kept separate so the two routes stay
+    independent.  Returned rows, basis elements and intervals are shared
+    through the memos; treat them as immutable.
 
     Single-writer: share a table across threads only for reads of entries
     computed before the handoff.
@@ -212,8 +204,57 @@ class KLTable:
         self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
         self._basis: dict[Word, Elt] = {}
+        self._intervals: dict[Word, tuple[Word, ...]] = {}
 
-    # -- fast route ---------------------------------------------------------
+    def interval(self, w: Word) -> tuple[Word, ...]:
+        """The indices below ``w``, in (length, lex) order."""
+        got = self._intervals.get(w)
+        if got is None:
+            got = self._intervals[w] = self._below(w)
+        return got
+
+    def oracle_row(self, w: Word) -> dict[Word, LaurentPoly]:
+        """All polynomials ``[y, w]`` by `solve_bar_triangular` with the
+        table's bar image, independent of the recurrence; verified before
+        return."""
+        row = self._rows.get(w)
+        if row is None:
+            row = self._rows[w] = solve_bar_triangular(w, self.interval(w), self._bar, self.name)
+        return row
+
+    def basis_element(self, w: Word) -> Elt:
+        """The canonical basis element ``v**-len(w) sum_y p(y, w) e_y`` of ``w``."""
+        got = self._basis.get(w)
+        if got is None:
+            lead = v_power(-len(w))
+            got = self._basis[w] = {y: lead * self.p(y, w) for y in self.interval(w)}
+        return got
+
+    # -- cache support ------------------------------------------------------
+
+    def snapshot(self) -> dict[tuple[Word, Word], LaurentPoly]:
+        return dict(self._fast)
+
+    def seed(self, entries: dict[tuple[Word, Word], LaurentPoly]) -> None:
+        self._fast.update(entries)
+
+
+class KLTable(_Table):
+    """Memoized Kazhdan-Lusztig data of a universal system.
+
+    The polynomials do not depend on the diagram involution, nor on the
+    generator count beyond the letters appearing in the indexing words, so
+    one table serves any spec.  The basis element of ``w`` is the KL basis
+    element ``c_w``.
+    """
+
+    name = "P"
+
+    def _below(self, w: Word) -> tuple[Word, ...]:
+        return lower_words(w)
+
+    def _bar(self, x: Word) -> Elt:
+        return bar_t(x)
 
     def p(self, y: Word, w: Word) -> LaurentPoly:
         """``P[y, w]`` by descent reduction plus the universal recurrence.
@@ -248,50 +289,12 @@ class KLTable:
         self._fast[key] = res
         return res
 
-    # -- oracle route -------------------------------------------------------
-
-    def oracle_row(self, w: Word) -> dict[Word, LaurentPoly]:
-        """All ``P[y, w]`` by `solve_bar_triangular` with the algebra's bar
-        ``bar(t_x)``, independent of the recurrence; verified before return."""
-        row = self._rows.get(w)
-        if row is None:
-            row = solve_bar_triangular(w, lower_words(w), bar_t, "P")
-            self._rows[w] = row
-        return row
-
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         if y == w:
             return ONE
         if not bruhat_leq(y, w):
             return ZERO
         return self.oracle_row(w)[y]
-
-    # -- KL basis -----------------------------------------------------------
-
-    def basis_element(self, w: Word) -> Elt:
-        """The KL basis element ``v**-len(w) sum_y P[y, w] t_y`` of ``w``.
-
-        Returned dicts are shared through the memo; treat them as immutable.
-        """
-        got = self._basis.get(w)
-        if got is not None:
-            return got
-        lead = v_power(-len(w))
-        elt = {y: lead * self.p(y, w) for y in lower_words(w)}
-        self._basis[w] = elt
-        return elt
-
-    def to_kl_basis(self, h: Elt) -> dict[Word, LaurentPoly]:
-        """Expand an element over the KL basis (`expand_triangular`)."""
-        return expand_triangular(h, self.basis_element)
-
-    # -- cache support ------------------------------------------------------
-
-    def snapshot(self) -> dict[tuple[Word, Word], LaurentPoly]:
-        return dict(self._fast)
-
-    def seed(self, entries: dict[tuple[Word, Word], LaurentPoly]) -> None:
-        self._fast.update(entries)
 
 
 def kl_correction(w: Word, j: int) -> dict[Word, LaurentPoly]:
@@ -342,15 +345,5 @@ def triple_product(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, LaurentPol
 
 def kl_product_direct(table: KLTable, x: Word, y: Word) -> dict[Word, LaurentPoly]:
     """``c_x c_y`` via standard-basis multiplication and change of basis."""
-    return table.to_kl_basis(mul(table.basis_element(x), table.basis_element(y)))
-
-
-def triple_product_direct(
-    table: KLTable, spec: CoxeterSpec, x: Word, y: Word
-) -> dict[Word, LaurentPoly]:
-    """``c_x c_y c_dagger(x)`` through the standard basis, for cross-checks."""
-    prod = mul(
-        mul(table.basis_element(x), table.basis_element(y)),
-        table.basis_element(dagger(spec, x)),
-    )
-    return table.to_kl_basis(prod)
+    prod = mul(table.basis_element(x), table.basis_element(y))
+    return expand_triangular(prod, table.basis_element)

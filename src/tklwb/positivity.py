@@ -65,24 +65,6 @@ from .words import (
 _QP1 = Q + ONE
 _Q2 = v_power(4)
 
-CHECK_NAMES = (
-    "a-prime",
-    "b-prime",
-    "c-prime",
-    "a",
-    "b",
-    "c",
-    "parity-p",
-    "parity-h",
-    "oracle-equivalence",
-    "rho-grading",
-    "bruhat-agreement",
-    "regular-embedding",
-    "msigma-closed-form",
-    "mult-formula",
-)
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Sweep bounds: rank bound for twisted indices, length bound for free ones."""
@@ -244,10 +226,8 @@ def _embedded_pairs(spec, bounds, cap):
 
 
 def _msigma_pairs(spec, bounds, cap):
-    """``(y, w, below)``: ``y <= w`` nontrivial twisted involutions of distinct
-    descents, ``below`` the interval of ``w``."""
-    invs = [(w, lower_twisted(spec, w)) for w in _involutions(spec, bounds, cap) if w]
-    return [(y, w, below) for w, below in invs for y in below if y and y[0] != w[0]]
+    """``(y, w)``: ``y <= w`` nontrivial twisted involutions of distinct descents."""
+    return [(y, w) for w, y in _involution_pairs(spec, bounds, cap) if y and y[0] != w[0]]
 
 
 def _generator_actions(spec, bounds, cap):
@@ -409,11 +389,11 @@ def _eval_regular_embedding(state, t):
 
 def _eval_msigma_closed_form(state, t):
     spec, _, ttable = state
-    y, w, below = t
+    y, w = t
     s, r = y[0], w[0]
     rwr = multiply(multiply((r,), w), (spec.star[r],))
     expected = ONE if (y == rwr or (y, w) == ((s,), (r,))) else ZERO
-    got = ttable.cs_coefficient(y, w, s, interval=below)
+    got = ttable.cs_coefficient(y, w, s)
     if got != expected:
         yield _violation(
             (y, w, (s,)), f"coefficient formula gives {got}, closed form gives {expected}"
@@ -449,20 +429,19 @@ def _eval_cs_recurrence(spec, ttable, s, w):
     pf = ttable.p_oracle
     w1 = twist(spec, s, w)
     c = 1 if multiply((s,), w) == multiply(w, (spec.star[s],)) else 0
-    interval, interval1 = lower_twisted(spec, w), lower_twisted(spec, w1)
-    for y in interval:
+    for y in ttable.interval(w):
         if not (y and y[0] == s):
             continue
         d = 1 if multiply((s,), y) == multiply(y, (spec.star[s],)) else 0
         lhs = (_QP1 if c else ONE) * pf(y, w)
         rhs = (_QP1 if d else ONE) * pf(twist(spec, s, y), w1)
         rhs = rhs + (_Q2 - (Q if d else ZERO)) * pf(y, w1)
-        for z in interval:
+        for z in ttable.interval(w):
             if z == w or not (z and z[0] == s):
                 continue
             if not bruhat_leq(y, z):  # agrees with the twisted order here
                 continue
-            m = ttable.cs_coefficient(z, w1, s, pf, interval1)
+            m = ttable.cs_coefficient(z, w1, s, pf)
             if m:
                 rhs = rhs - v_power(len(w) - len(z) + c) * m * pf(y, z)
         if lhs != rhs:
@@ -503,6 +482,9 @@ _CHECKS = {
     "mult-formula": (_generator_actions, _eval_mult_formula),
     "structure-theorems": (_product_operands, _eval_structure_theorems),
 }
+
+# The public checks; ``structure-theorems`` is driven by the acceptance suite.
+CHECK_NAMES = tuple(n for n in _CHECKS if n != "structure-theorems")
 
 
 def verify(

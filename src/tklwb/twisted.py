@@ -12,13 +12,14 @@ the twisted Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
 algebra is its image under ``v -> v**2``, ``t_w -> T_w``, which
 `hecke_action` applies as it acts, so `bar_basis` shares `hecke.t_inverse`.
 
-As on the algebra side there are two independent routes to ``Psigma``:
-`TwistedKLTable.oracle_row` (the reference: `hecke.solve_bar_triangular`,
-the solver of the untwisted oracle, run with the module bar operator) and
-`TwistedKLTable.p` (descent reduction plus the universal recurrence).  The
-recurrence route exists because the generic coefficient recurrence is
-circular if applied naively; here it is used only as a checked identity,
-never as a computation path (see `positivity`).
+`TwistedKLTable` is the table of `hecke.KLTable` on the module: the same
+memos, intervals, oracle row and basis element (``A_w``, the distinguished
+basis), with `lower_twisted` as its interval rule and `bar_basis` as its bar
+image.  As on the algebra side there are two independent routes to
+``Psigma``: the oracle row and `TwistedKLTable.p` (descent reduction plus
+the universal recurrence).  The recurrence route exists because the generic
+coefficient recurrence is circular if applied naively; here it is used only
+as a checked identity, never as a computation path (see `positivity`).
 
 The top-coefficient data ``mu``/``nu``/``mu_s`` feeds the expansion of
 ``C_s A_w`` (`cs_action`), which in universal systems collapses to a four
@@ -37,10 +38,11 @@ from .hecke import (
     KLTable,
     Q_PLUS_QINV,
     V_PLUS_VINV,
+    _Table,
+    accumulate,
     add_scaled,
     bar_t,
     expand_triangular,
-    solve_bar_triangular,
 )
 from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_v_squared, v_power
 from .words import (
@@ -80,13 +82,16 @@ def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
     for w, f in m.items():
         u = twist(spec, s, w)
         if len(u) == len(w) + 1:
-            add_scaled(out, {u: _Q_PLUS_1 * f, w: Q * f}, ONE)
+            accumulate(out, u, _Q_PLUS_1 * f)
+            accumulate(out, w, Q * f)
         elif len(u) == len(w) - 1:
-            add_scaled(out, {u: _Q2_MINUS_Q * f, w: _Q2_MINUS_Q_MINUS_1 * f}, ONE)
+            accumulate(out, u, _Q2_MINUS_Q * f)
+            accumulate(out, w, _Q2_MINUS_Q_MINUS_1 * f)
         elif len(u) > len(w):
-            add_scaled(out, {u: f}, ONE)
+            accumulate(out, u, f)
         else:
-            add_scaled(out, {u: _Q2 * f, w: _Q2_MINUS_1 * f}, ONE)
+            accumulate(out, u, _Q2 * f)
+            accumulate(out, w, _Q2_MINUS_1 * f)
     return out
 
 
@@ -114,29 +119,24 @@ def bar_basis(spec: CoxeterSpec, w: Word) -> Elt:
     return res
 
 
-def bar_module(spec: CoxeterSpec, m: Elt) -> Elt:
-    """The bar operator, extended by ``bar`` on coefficients."""
-    out: Elt = {}
-    for w, f in m.items():
-        add_scaled(out, bar_basis(spec, w), f.bar())
-    return out
-
-
-class TwistedKLTable:
+class TwistedKLTable(_Table):
     """Memoized twisted Kazhdan-Lusztig data for one spec.
 
-    Single-writer, like `KLTable`; oracle rows and the fast recurrence memo
-    are kept independent of each other.
+    Single-writer, like `KLTable`.  The basis element of ``w`` is the
+    distinguished basis element ``A_w``.
     """
 
-    def __init__(self, spec: CoxeterSpec) -> None:
-        self.spec = spec
-        self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
-        self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
-        self._abasis: dict[Word, Elt] = {}
-        self._diff: dict[tuple[Word, Word, Word], LaurentPoly] = {}
+    name = "Psigma"
 
-    # -- fast route ---------------------------------------------------------
+    def __init__(self, spec: CoxeterSpec) -> None:
+        super().__init__()
+        self.spec = spec
+
+    def _below(self, w: Word) -> tuple[Word, ...]:
+        return lower_twisted(self.spec, w)
+
+    def _bar(self, x: Word) -> Elt:
+        return bar_basis(self.spec, x)
 
     def p(self, y: Word, w: Word) -> LaurentPoly:
         """``Psigma[y, w]`` by descent reduction plus the universal recurrence.
@@ -179,20 +179,6 @@ class TwistedKLTable:
         self._fast[key] = res
         return res
 
-    # -- oracle route -------------------------------------------------------
-
-    def oracle_row(self, w: Word) -> dict[Word, LaurentPoly]:
-        """All ``Psigma[y, w]`` by `hecke.solve_bar_triangular` with the
-        module bar operator `bar_basis`; verified before return."""
-        row = self._rows.get(w)
-        if row is None:
-            spec = self.spec
-            check_twisted_involution(spec, w)
-            interval = lower_twisted(spec, w)
-            row = solve_bar_triangular(w, interval, lambda x: bar_basis(spec, x), "Psigma")
-            self._rows[w] = row
-        return row
-
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         if y == w:
             return ONE
@@ -215,14 +201,13 @@ class TwistedKLTable:
         p = (pfun or self.p)(y, w)
         return p.coefficient(len(w) - len(y) - 2)
 
-    def mu_s(self, y: Word, w: Word, s: int, pfun=None, interval=None) -> int:
+    def mu_s(self, y: Word, w: Word, s: int, pfun=None) -> int:
         """The corrected even-gap coefficient attached to a generator.
 
         Defined for ``s`` a left descent of ``y`` but not of ``w``:
         ``nu(y, w)`` plus the twist-boundary corrections minus the sum of
         ``mu(y, x) mu(x, w)`` over twisted involutions ``x`` with descent
-        ``s`` between ``y`` and ``w``.  A caller that holds
-        ``lower_twisted(spec, w)`` passes it as ``interval``.
+        ``s`` between ``y`` and ``w``.
         """
         spec = self.spec
         if not (y and y[0] == s) or (w and w[0] == s):
@@ -234,22 +219,22 @@ class TwistedKLTable:
         if len(sw) == len(w) + 1:
             total -= self.mu(y, sw, pfun)
         # nu checked y, so y and x are twisted involutions: plain order agrees
-        for x in interval or lower_twisted(spec, w):
+        for x in self.interval(w):
             if x and x[0] == s and bruhat_leq(y, x):
                 total -= self.mu(y, x, pfun) * self.mu(x, w, pfun)
         return total
 
-    def cs_coefficient(self, y: Word, w: Word, s: int, pfun=None, interval=None) -> LaurentPoly:
+    def cs_coefficient(self, y: Word, w: Word, s: int, pfun=None) -> LaurentPoly:
         """Coefficient of ``a`` for ``y`` in ``C_s A_w`` below the leading term.
 
         ``mu(y, w) (v + v**-1)`` on an odd length gap, ``mu_s(y, w, s)`` on
-        an even one; ``interval`` is passed on to `mu_s`.
+        an even one.
         """
         if not (y and y[0] == s) or (w and w[0] == s):
             raise ValueError("cs_coefficient needs s a descent of y and not of w")
         if (len(w) - len(y)) % 2:
             return const(self.mu(y, w, pfun)) * V_PLUS_VINV
-        return const(self.mu_s(y, w, s, pfun, interval))
+        return const(self.mu_s(y, w, s, pfun))
 
     # -- products -----------------------------------------------------------
 
@@ -268,108 +253,12 @@ class TwistedKLTable:
         t = twist(spec, s, w)
         lead = V_PLUS_VINV if t == multiply((s,), w) else ONE
         out: Elt = {t: lead}
-        interval = lower_twisted(spec, w)
-        for y in lower_twisted(spec, t):
+        for y in self.interval(t):
             if y != t and y and y[0] == s:
-                f = self.cs_coefficient(y, w, s, interval=interval)
+                f = self.cs_coefficient(y, w, s)
                 if f:
                     out[y] = f
         return out
-
-    # -- distinguished basis --------------------------------------------------
-
-    def a_basis_element(self, w: Word) -> Elt:
-        """``A_w = v**-len(w) sum_y Psigma[y, w] a_y`` over the interval."""
-        got = self._abasis.get(w)
-        if got is not None:
-            return got
-        lead = v_power(-len(w))
-        elt = {y: lead * self.p(y, w) for y in lower_twisted(self.spec, w)}
-        self._abasis[w] = elt
-        return elt
-
-    def to_a_basis(self, m: Elt) -> Elt:
-        """Expand a module element over the distinguished basis
-        (`hecke.expand_triangular`)."""
-        return expand_triangular(m, self.a_basis_element)
-
-    # -- difference recurrences ----------------------------------------------
-
-    def diff(self, y: Word, z: Word, w: Word) -> LaurentPoly:
-        """``Psigma[y, w] - Psigma[z, w]`` for ``y <= z``, by the difference
-        recurrences; every intermediate value stays in N[q].
-
-        After normalising ``y`` and ``z`` against the descent of ``w``, the
-        triple matches exactly one case: ``w`` dihedral (difference is 0 or
-        1); the generic two-term recurrence; or, for ``y`` the identity and a
-        star-fixed descent, one of two augmented recurrences keyed on whether
-        the second letter of the twist expression is star-fixed.
-        """
-        spec = self.spec
-        if not bruhat_leq_twisted(spec, y, z):
-            raise ValueError("difference requires y <= z in Bruhat order")
-        if y == z:
-            return ZERO
-        if not bruhat_leq_twisted(spec, y, w):
-            return ZERO
-        s = w[0] if w else None
-        if s is not None:
-            if y and y[0] == s:
-                y = twist(spec, s, y)
-            if z and z[0] == s:
-                z = twist(spec, s, z)
-            if y == z:
-                return ZERO
-        key = (y, z, w)
-        got = self._diff.get(key)
-        if got is not None:
-            return got
-        if len(set(w)) <= 2:
-            res = ONE if not bruhat_leq_twisted(spec, z, w) else ZERO
-        else:
-            expr = twist_expression(spec, w)
-            r = expr[1]
-            m = 2
-            while m < len(expr) and expr[m] == (s if m % 2 == 0 else r):
-                m += 1
-            k = m - 1
-            a = _alternating(k, s, r)
-            w1 = twist_word(spec, a, w)
-            res = self.diff(y, z, twist(spec, s, w)) + v_power(4 * k) * self.diff(
-                twist_word(spec, a, y), twist_word(spec, a, z), w1
-            )
-            if not y and spec.star[s] == s:
-                us = [_alternating_twist(spec, i, k, r, s) for i in range(k + 1)]
-                if spec.star[r] == r:
-                    for i in range(k):
-                        res = res + v_power(2 * (i + k)) * self.diff(us[i], us[i + 1], w1)
-                else:
-                    res = res + v_power(2 * (2 * k - 1)) * self.diff(us[k - 1], us[k], w1)
-        self._diff[key] = res
-        return res
-
-    # -- cache support ------------------------------------------------------
-
-    def snapshot(self) -> dict[tuple[Word, Word], LaurentPoly]:
-        return dict(self._fast)
-
-    def seed(self, entries: dict[tuple[Word, Word], LaurentPoly]) -> None:
-        self._fast.update(entries)
-
-
-def _alternating(count: int, last: int, other: int) -> Word:
-    """Alternating word of ``count`` letters ending with ``last``."""
-    return tuple(
-        last if (count - 1 - i) % 2 == 0 else other for i in range(count)
-    )
-
-
-def _alternating_twist(spec: CoxeterSpec, i: int, k: int, r: int, s: int) -> Word:
-    """The i-th interpolating twisted involution of the augmented recurrences:
-    the twist-fold of the alternating word of ``i`` letters, ending in ``s``
-    when ``k - i`` is even and in ``r`` otherwise."""
-    last, other = (s, r) if (k - i) % 2 == 0 else (r, s)
-    return twist_word(spec, _alternating(i, last, other), IDENTITY)
 
 
 def cs_action_closed(spec: CoxeterSpec, s: int, w: Word) -> Elt:
@@ -450,5 +339,5 @@ def twisted_product_direct(
     spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable, x: Word, y: Word
 ) -> Elt:
     """``C_x A_y`` through the standard-basis action, for cross-checks."""
-    ay = ttable.a_basis_element(y)
-    return ttable.to_a_basis(hecke_action(spec, table.basis_element(x), ay))
+    m = hecke_action(spec, table.basis_element(x), ttable.basis_element(y))
+    return expand_triangular(m, ttable.basis_element)

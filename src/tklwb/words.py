@@ -143,19 +143,6 @@ def dagger(spec: CoxeterSpec, w: Word) -> Word:
     return tuple(spec.star[s] for s in reversed(w))
 
 
-def descents(w: Word) -> tuple[frozenset[int], frozenset[int]]:
-    """Left and right descent sets; singletons except for the identity.
-
-    >>> descents((0, 1, 0))
-    (frozenset({0}), frozenset({0}))
-    >>> descents(())
-    (frozenset(), frozenset())
-    """
-    if not w:
-        return frozenset(), frozenset()
-    return frozenset({w[0]}), frozenset({w[-1]})
-
-
 def _is_subsequence(y: tuple, w: tuple) -> bool:
     i = 0
     for s in w:

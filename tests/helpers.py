@@ -1,0 +1,125 @@
+"""Operations only the test suite uses: the bar involutions on whole
+elements, the dagger anti-automorphism, the direct triple product and the
+difference recurrences of the twisted polynomials."""
+
+from tklwb.hecke import Elt, KLTable, add_scaled, bar_t, expand_triangular, mul
+from tklwb.laurent import LaurentPoly, ONE, ZERO, v_power
+from tklwb.twisted import TwistedKLTable, bar_basis
+from tklwb.words import (
+    CoxeterSpec,
+    IDENTITY,
+    Word,
+    bruhat_leq_twisted,
+    dagger,
+    twist,
+    twist_expression,
+    twist_word,
+)
+
+
+def bar_hecke(h: Elt) -> Elt:
+    """The bar involution: ``v -> v**-1`` on coefficients, ``t_w -> bar(t_w)``."""
+    out: Elt = {}
+    for w, f in h.items():
+        add_scaled(out, bar_t(w), f.bar())
+    return out
+
+
+def dagger_hecke(spec: CoxeterSpec, h: Elt) -> Elt:
+    """The coefficient-linear anti-automorphism sending ``t_w`` to ``t_dagger(w)``."""
+    return {dagger(spec, w): f for w, f in h.items()}
+
+
+def triple_product_direct(
+    table: KLTable, spec: CoxeterSpec, x: Word, y: Word
+) -> dict[Word, LaurentPoly]:
+    """``c_x c_y c_dagger(x)`` through the standard basis, for cross-checks."""
+    prod = mul(
+        mul(table.basis_element(x), table.basis_element(y)),
+        table.basis_element(dagger(spec, x)),
+    )
+    return expand_triangular(prod, table.basis_element)
+
+
+def bar_module(spec: CoxeterSpec, m: Elt) -> Elt:
+    """The module bar operator, extended by ``bar`` on coefficients."""
+    out: Elt = {}
+    for w, f in m.items():
+        add_scaled(out, bar_basis(spec, w), f.bar())
+    return out
+
+
+class DiffTable(TwistedKLTable):
+    """A `TwistedKLTable` that also evaluates the difference recurrences."""
+
+    def __init__(self, spec: CoxeterSpec) -> None:
+        super().__init__(spec)
+        self._diff: dict[tuple[Word, Word, Word], LaurentPoly] = {}
+
+    def diff(self, y: Word, z: Word, w: Word) -> LaurentPoly:
+        """``Psigma[y, w] - Psigma[z, w]`` for ``y <= z``, by the difference
+        recurrences; every intermediate value stays in N[q].
+
+        After normalising ``y`` and ``z`` against the descent of ``w``, the
+        triple matches exactly one case: ``w`` dihedral (difference is 0 or
+        1); the generic two-term recurrence; or, for ``y`` the identity and a
+        star-fixed descent, one of two augmented recurrences keyed on whether
+        the second letter of the twist expression is star-fixed.
+        """
+        spec = self.spec
+        if not bruhat_leq_twisted(spec, y, z):
+            raise ValueError("difference requires y <= z in Bruhat order")
+        if y == z:
+            return ZERO
+        if not bruhat_leq_twisted(spec, y, w):
+            return ZERO
+        s = w[0] if w else None
+        if s is not None:
+            if y and y[0] == s:
+                y = twist(spec, s, y)
+            if z and z[0] == s:
+                z = twist(spec, s, z)
+            if y == z:
+                return ZERO
+        key = (y, z, w)
+        got = self._diff.get(key)
+        if got is not None:
+            return got
+        if len(set(w)) <= 2:
+            res = ONE if not bruhat_leq_twisted(spec, z, w) else ZERO
+        else:
+            expr = twist_expression(spec, w)
+            r = expr[1]
+            m = 2
+            while m < len(expr) and expr[m] == (s if m % 2 == 0 else r):
+                m += 1
+            k = m - 1
+            a = alternating(k, s, r)
+            w1 = twist_word(spec, a, w)
+            res = self.diff(y, z, twist(spec, s, w)) + v_power(4 * k) * self.diff(
+                twist_word(spec, a, y), twist_word(spec, a, z), w1
+            )
+            if not y and spec.star[s] == s:
+                us = [alternating_twist(spec, i, k, r, s) for i in range(k + 1)]
+                if spec.star[r] == r:
+                    for i in range(k):
+                        res = res + v_power(2 * (i + k)) * self.diff(us[i], us[i + 1], w1)
+                else:
+                    res = res + v_power(2 * (2 * k - 1)) * self.diff(us[k - 1], us[k], w1)
+        self._diff[key] = res
+        return res
+
+
+def alternating(count: int, last: int, other: int) -> Word:
+    """Alternating word of ``count`` letters ending with ``last``."""
+    return tuple(
+        last if (count - 1 - i) % 2 == 0 else other for i in range(count)
+    )
+
+
+def alternating_twist(spec: CoxeterSpec, i: int, k: int, r: int, s: int) -> Word:
+    """The i-th interpolating twisted involution of the augmented recurrences:
+    the twist-fold of the alternating word of ``i`` letters, ending in ``s``
+    when ``k - i`` is even and in ``r`` otherwise."""
+    last, other = (s, r) if (k - i) % 2 == 0 else (r, s)
+    return twist_word(spec, alternating(i, last, other), IDENTITY)

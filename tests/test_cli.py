@@ -257,10 +257,29 @@ def test_failed_cache_save_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "open", failing_open, raising=False)
     code = main(args + ["kl", "e", "abcba"])
     out = capsys.readouterr()
-    assert code == 3
-    assert "No space left on device" in out.err
+    assert code == 2
+    assert out.err == f"tklwb: cannot write cache {cache}: No space left on device\n"
     assert cache.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["cache.tsv"]
+
+
+def test_unusable_user_files_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing-dir"
+    dump = ["--gens", "2", "dump", "--max-rho", "1", "--max-ell", "1"]
+    code = main(dump + ["--out", str(missing / "x.tsv")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == f"tklwb: cannot write {missing / 'x.tsv'}: No such file or directory\n"
+    code = main(["--gens", "3", "--cache", str(missing / "c.tsv"), "kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "1+q\n")
+    assert out.err == f"tklwb: cannot write cache {missing / 'c.tsv'}: No such file or directory\n"
+    # a directory where the cache should be cannot be read
+    code = main(["--gens", "3", "--cache", str(tmp_path), "kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith(f"tklwb: cannot read cache {tmp_path}: ")
+    assert not missing.exists()
 
 
 def test_cache_header_mismatch_invalidates(tmp_path, capsys):
