@@ -24,7 +24,7 @@ from typing import TextIO
 from .hecke import InternalInconsistencyError, KLTable, kl_product
 from .laurent import LaurentPoly, ParityError, QFormError, parse_poly
 from .positivity import Bounds, CHECK_NAMES, kl_halves, verify
-from .twisted import TwistedKLTable, twisted_product
+from .twisted import TwistedKLTable, cs_action_closed, twisted_product
 from .words import (
     CapExceeded,
     CoxeterSpec,
@@ -143,8 +143,10 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except FileNotFoundError:
-        return
+    except FileNotFoundError as exc:
+        if os.path.isdir(os.path.dirname(path) or "."):
+            return
+        raise _file_error("write cache", path, exc) from exc  # before any work
     except UnicodeDecodeError:
         print(f"tklwb: warning: ignoring cache {path}: not UTF-8 text", file=sys.stderr)
         return
@@ -288,7 +290,7 @@ def _cmd_mult(args, spec, table, ttable, out) -> int:
     if len(s) != 1:
         raise GeneratorError(f"mult expects a single generator, got {args.s!r}")
     w = check_twisted_involution(spec, parse_word(args.w, spec.gen_count))
-    _emit_terms(args, out, "A", ttable.cs_action(s[0], w))
+    _emit_terms(args, out, "A", cs_action_closed(spec, s[0], w))
     return 0
 
 
@@ -321,6 +323,8 @@ def _cmd_verify(args, spec, table, ttable, out) -> int:
 
 
 def _cmd_dump(args, spec, table, ttable, out) -> int:
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):  # fail before the work
+        raise ValueError(f"cannot write {args.out}: No such file or directory")
     lines = [cache_header(spec)]
     words = enumerate_words(spec.gen_count, args.max_ell, args.cap)
     invs = enumerate_twisted_involutions(spec, args.max_rho, args.cap)
@@ -391,8 +395,8 @@ def main(argv=None) -> int:
         print(f"tklwb: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # A defect or an exhausted resource (say, the recursion limit on a very
-        # long word): one line, never a traceback or the "violations" exit 1.
+        # A defect or an exhausted resource (say, memory): one line, never a
+        # traceback or the "violations" exit 1.
         print(f"tklwb: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

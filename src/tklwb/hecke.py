@@ -15,8 +15,8 @@ against each other:
   directly: walking the Bruhat interval downward, it extracts at each index
   the unique coefficient with strictly negative v-support.  No recurrence is
   involved.
-* ``KLTable.p`` evaluates the universal two-letter recurrence (with left
-  descent reductions) and memoizes single values.
+* ``p`` evaluates the universal two-letter recurrence (with left descent
+  reductions; `KLTable._step`) and memoizes single values.
 
 Products in the KL basis use the closed combinatorial form for universal
 systems (`kl_product`, with the correction terms of `kl_correction`), again
@@ -185,16 +185,23 @@ def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:
     return out
 
 
+_MAX_DEPTH = 200  # recurrence levels per evaluation, two frames each
+
+
+class _TooDeep(Exception):
+    """`_Table._p` went past `_MAX_DEPTH`; the arguments are the pair it reached."""
+
+
 class _Table:
     """The memos of a Kazhdan-Lusztig table and what is built from them.
 
-    A subclass gives the recurrence ``p``, the interval rule ``_below(w)``
-    (the indices below ``w``, in (length, lex) order), the bar image
-    ``_bar(x)`` of the standard basis element of ``x`` and the ``name`` of
-    its polynomials in oracle error messages.  The recurrence memo
-    and the oracle rows are kept separate so the two routes stay
-    independent.  Returned rows, basis elements and intervals are shared
-    through the memos; treat them as immutable.
+    A subclass gives the order test ``_leq``, one recurrence ``_step`` (which
+    reads lower pairs by ``_p``), the interval rule ``_below(w)`` (the indices
+    below ``w``, in (length, lex) order), the bar image ``_bar(x)`` of the
+    standard basis element of ``x`` and the ``name`` of its polynomials in
+    oracle error messages.  The recurrence memo and the oracle rows are kept
+    separate so the two routes stay independent.  Returned rows, basis
+    elements and intervals are shared through the memos; treat them as immutable.
 
     Single-writer: share a table across threads only for reads of entries
     computed before the handoff.
@@ -202,9 +209,50 @@ class _Table:
 
     def __init__(self) -> None:
         self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
+        self._words: dict[Word, Word] = {}  # one tuple per word in the memo keys
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
         self._basis: dict[Word, Elt] = {}
         self._intervals: dict[Word, tuple[Word, ...]] = {}
+
+    def p(self, y: Word, w: Word) -> LaurentPoly:
+        """The polynomial ``[y, w]`` by the recurrence, memoized.  A pair more
+        than `_MAX_DEPTH` levels down is solved first, then the solve resumes."""
+        pending = [(y, w)]
+        while pending:
+            try:
+                got = self._p(*pending[-1], 0)
+                pending.pop()
+            except _TooDeep as exc:
+                pending.append(exc.args)
+        return got
+
+    def _p(self, y: Word, w: Word, depth: int) -> LaurentPoly:
+        if y == w:
+            return ONE
+        if len(w) - len(y) <= 2:  # never memoised, so before the memo lookup
+            # the degree bound forces a constant, and the constant term is 1
+            return ONE if self._leq(y, w) else ZERO
+        # a memoised pair passed the order test when it was stored
+        got = self._fast.get((y, w))
+        if got is not None:
+            return got
+        if not self._leq(y, w):
+            return ZERO
+        if depth > _MAX_DEPTH:
+            raise _TooDeep(y, w)
+        got = self._step(y, w, depth + 1)
+        self._fast[self._words.setdefault(y, y), self._words.setdefault(w, w)] = got
+        return got
+
+    def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
+        """The polynomial ``[y, w]`` read from `oracle_row`, which is built
+        only for a shorter ``y``: no other lies below ``w``."""
+        if y == w:
+            return ONE
+        if len(y) < len(w) and (got := self.oracle_row(w).get(y)) is not None:
+            return got
+        self._leq(y, w)  # raises for an index the table does not have
+        return ZERO
 
     def interval(self, w: Word) -> tuple[Word, ...]:
         """The indices below ``w``, in (length, lex) order."""
@@ -256,7 +304,9 @@ class KLTable(_Table):
     def _bar(self, x: Word) -> Elt:
         return bar_t(x)
 
-    def p(self, y: Word, w: Word) -> LaurentPoly:
+    _leq = staticmethod(bruhat_leq)
+
+    def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
         """``P[y, w]`` by descent reduction plus the universal recurrence.
 
         With ``s, r`` the first two letters of ``w`` and ``s`` not a left
@@ -266,35 +316,16 @@ class KLTable(_Table):
 
         where ``d`` is 1 exactly if ``s`` is again a left descent of ``rsw``.
         """
-        if y == w:
-            return ONE
-        if not bruhat_leq(y, w):
-            return ZERO
-        if len(w) - len(y) <= 2:
-            # the degree bound forces a constant, and the constant term is 1
-            return ONE
-        key = (y, w)
-        got = self._fast.get(key)
-        if got is not None:
-            return got
+        p = self._p
         s = w[0]
         if y and y[0] == s:
-            res = self.p(y[1:], w)
-        else:
-            sw = w[1:]
-            rsw = w[2:]
-            res = self.p(y, sw) + Q * self.p((s,) + y, sw)
-            if rsw and rsw[0] == s:
-                res = res - Q * self.p(y, rsw)
-        self._fast[key] = res
+            return p(y[1:], w, depth)
+        sw = w[1:]
+        rsw = w[2:]
+        res = p(y, sw, depth) + Q * p((s,) + y, sw, depth)
+        if rsw and rsw[0] == s:
+            res = res - Q * p(y, rsw, depth)
         return res
-
-    def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
-        if y == w:
-            return ONE
-        if not bruhat_leq(y, w):
-            return ZERO
-        return self.oracle_row(w)[y]
 
 
 def kl_correction(w: Word, j: int) -> dict[Word, LaurentPoly]:

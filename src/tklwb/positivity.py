@@ -441,7 +441,7 @@ def _eval_cs_recurrence(spec, ttable, s, w):
                 continue
             if not bruhat_leq(y, z):  # agrees with the twisted order here
                 continue
-            m = ttable.cs_coefficient(z, w1, s, pf)
+            m = ttable.cs_coefficient(z, w1, s)
             if m:
                 rhs = rhs - v_power(len(w) - len(z) + c) * m * pf(y, z)
         if lhs != rhs:

@@ -16,8 +16,8 @@ algebra is its image under ``v -> v**2``, ``t_w -> T_w``, which
 memos, intervals, oracle row and basis element (``A_w``, the distinguished
 basis), with `lower_twisted` as its interval rule and `bar_basis` as its bar
 image.  As on the algebra side there are two independent routes to
-``Psigma``: the oracle row and `TwistedKLTable.p` (descent reduction plus
-the universal recurrence).  The recurrence route exists because the generic
+``Psigma``: the oracle row and ``p`` (descent reduction plus the universal
+recurrence, `_step`).  The recurrence route exists because the generic
 coefficient recurrence is circular if applied naively; here it is used only
 as a checked identity, never as a computation path (see `positivity`).
 
@@ -138,7 +138,10 @@ class TwistedKLTable(_Table):
     def _bar(self, x: Word) -> Elt:
         return bar_basis(self.spec, x)
 
-    def p(self, y: Word, w: Word) -> LaurentPoly:
+    def _leq(self, y: Word, w: Word) -> bool:
+        return bruhat_leq_twisted(self.spec, y, w)
+
+    def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
         """``Psigma[y, w]`` by descent reduction plus the universal recurrence.
 
         With ``s`` the descent of ``w``, ``w1 = s # w``, ``r`` the descent of
@@ -152,56 +155,32 @@ class TwistedKLTable(_Table):
         when ``y`` is the identity, ``s`` is star-fixed and ``w != s r s``.
         """
         spec = self.spec
-        if y == w:
-            return ONE
-        # a memoised pair passed the order test when it was stored
-        key = (y, w)
-        got = self._fast.get(key)
-        if got is not None:
-            return got
-        if not bruhat_leq_twisted(spec, y, w):
-            return ZERO
-        if len(w) - len(y) <= 2:
-            return ONE
+        p = self._p
         s = w[0]
         if y and y[0] == s:
-            res = self.p(twist(spec, s, y), w)
-        else:
-            w1 = twist(spec, s, w)
-            r = w1[0]
-            w2 = twist(spec, r, w1)
-            sy = twist(spec, s, y)
-            res = self.p(y, w1) + _Q2 * self.p(sy, w1)
-            if w2 and w2[0] == s:
-                res = res - _Q2 * self.p(sy, w2)
-            if not y and spec.star[s] == s and w != (s, r, s):
-                res = res + Q * (self.p(IDENTITY, w1) - self.p((s,), w1))
-        self._fast[key] = res
+            return p(twist(spec, s, y), w, depth)
+        w1 = twist(spec, s, w)
+        r = w1[0]
+        w2 = twist(spec, r, w1)
+        sy = twist(spec, s, y)
+        res = p(y, w1, depth) + _Q2 * p(sy, w1, depth)
+        if w2 and w2[0] == s:
+            res = res - _Q2 * p(sy, w2, depth)
+        if not y and spec.star[s] == s and w != (s, r, s):
+            res = res + Q * (p(IDENTITY, w1, depth) - p((s,), w1, depth))
         return res
-
-    def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
-        if y == w:
-            return ONE
-        if len(y) < len(w):  # else y is not below w: build no row for it
-            got = self.oracle_row(w).get(y)
-            if got is not None:
-                return got
-        bruhat_leq_twisted(self.spec, y, w)  # raises for a non-involution
-        return ZERO
 
     # -- top coefficient data -----------------------------------------------
 
-    def mu(self, y: Word, w: Word, pfun=None) -> int:
-        """Coefficient of ``v**(len(w)-len(y)-1)`` in ``Psigma[y, w]``."""
-        p = (pfun or self.p)(y, w)
-        return p.coefficient(len(w) - len(y) - 1)
+    def mu(self, y: Word, w: Word) -> int:
+        """Coefficient of ``v**(len(w)-len(y)-1)`` in the oracle's ``Psigma[y, w]``."""
+        return self.p_oracle(y, w).coefficient(len(w) - len(y) - 1)
 
-    def nu(self, y: Word, w: Word, pfun=None) -> int:
-        """Coefficient of ``v**(len(w)-len(y)-2)`` in ``Psigma[y, w]``."""
-        p = (pfun or self.p)(y, w)
-        return p.coefficient(len(w) - len(y) - 2)
+    def nu(self, y: Word, w: Word) -> int:
+        """Coefficient of ``v**(len(w)-len(y)-2)`` in the oracle's ``Psigma[y, w]``."""
+        return self.p_oracle(y, w).coefficient(len(w) - len(y) - 2)
 
-    def mu_s(self, y: Word, w: Word, s: int, pfun=None) -> int:
+    def mu_s(self, y: Word, w: Word, s: int) -> int:
         """The corrected even-gap coefficient attached to a generator.
 
         Defined for ``s`` a left descent of ``y`` but not of ``w``:
@@ -212,19 +191,19 @@ class TwistedKLTable(_Table):
         spec = self.spec
         if not (y and y[0] == s) or (w and w[0] == s):
             raise ValueError("mu_s needs s a left descent of y and not of w")
-        total = self.nu(y, w, pfun)
+        total = self.nu(y, w)
         sy, sw = twist(spec, s, y), twist(spec, s, w)
         if len(sy) == len(y) - 1:  # one-letter steps: s y == y s*, s w == w s*
-            total += self.mu(sy, w, pfun)
+            total += self.mu(sy, w)
         if len(sw) == len(w) + 1:
-            total -= self.mu(y, sw, pfun)
+            total -= self.mu(y, sw)
         # nu checked y, so y and x are twisted involutions: plain order agrees
         for x in self.interval(w):
             if x and x[0] == s and bruhat_leq(y, x):
-                total -= self.mu(y, x, pfun) * self.mu(x, w, pfun)
+                total -= self.mu(y, x) * self.mu(x, w)
         return total
 
-    def cs_coefficient(self, y: Word, w: Word, s: int, pfun=None) -> LaurentPoly:
+    def cs_coefficient(self, y: Word, w: Word, s: int) -> LaurentPoly:
         """Coefficient of ``a`` for ``y`` in ``C_s A_w`` below the leading term.
 
         ``mu(y, w) (v + v**-1)`` on an odd length gap, ``mu_s(y, w, s)`` on
@@ -233,8 +212,8 @@ class TwistedKLTable(_Table):
         if not (y and y[0] == s) or (w and w[0] == s):
             raise ValueError("cs_coefficient needs s a descent of y and not of w")
         if (len(w) - len(y)) % 2:
-            return const(self.mu(y, w, pfun)) * V_PLUS_VINV
-        return const(self.mu_s(y, w, s, pfun))
+            return const(self.mu(y, w)) * V_PLUS_VINV
+        return const(self.mu_s(y, w, s))
 
     # -- products -----------------------------------------------------------
 

@@ -144,11 +144,11 @@ def dagger(spec: CoxeterSpec, w: Word) -> Word:
 
 
 def _is_subsequence(y: tuple, w: tuple) -> bool:
-    i = 0
-    for s in w:
-        if i < len(y) and y[i] == s:
-            i += 1
-    return i == len(y)
+    rest = iter(w)  # each ``in`` consumes ``w`` up to the letter it finds
+    for s in y:
+        if s not in rest:
+            return False
+    return True
 
 
 def bruhat_leq(y: Word, w: Word) -> bool:

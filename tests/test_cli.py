@@ -55,6 +55,26 @@ def test_mult(capsys):
     assert (code, out) == (0, "aba\t1\na\t1\n")
 
 
+@pytest.mark.parametrize(
+    "gens, star, max_rho", [(3, "id", 6), (3, "(a b)", 5), (4, "(a b)(c d)", 4)]
+)
+def test_mult_prints_the_coefficient_expansion(capsys, gens, star, max_rho):
+    # mult prints the closed form; it must agree byte for byte with cs_action,
+    # whose oracle rows bound the ranks that run in a few seconds
+    from tklwb.twisted import TwistedKLTable
+    from tklwb.words import CoxeterSpec, enumerate_twisted_involutions, format_word
+
+    spec = CoxeterSpec.make(gens, star)
+    ttable = TwistedKLTable(spec)
+    for x in enumerate_twisted_involutions(spec, max_rho):
+        for s in range(gens):
+            terms = ttable.cs_action(s, x)
+            order = sorted(terms, key=lambda u: (-len(u), u))
+            expected = "".join(f"{format_word(z)}\t{terms[z]}\n" for z in order)
+            argv = ["--gens", str(gens), "--star", star, "mult", format_word((s,)), format_word(x)]
+            assert run(capsys, *argv) == (0, expected), argv
+
+
 def test_enum(capsys):
     code, out = run(capsys, "--gens", "2", "--star", "(a b)", "enum", "1")
     assert (code, out) == (0, "e\t0\t0\t0\nab\t1\t2\t0\nba\t1\t2\t0\n")
@@ -175,14 +195,30 @@ def test_usage_error_exits_2():
         assert exc.value.code == 2, argv
 
 
-def test_unexpected_error_exits_3_without_traceback(capsys):
-    # Far past the recursion limit of the recurrence: the run must end with
-    # the internal-error code and one line on stderr, not exit 1.
-    code = main(["--gens", "2", "kl", "e", "ab" * 600])
+def test_unexpected_error_exits_3_without_traceback(capsys, monkeypatch):
+    # A defect inside the recurrence: the run must end with the
+    # internal-error code and one line on stderr, not exit 1.
+    from tklwb.hecke import KLTable
+
+    def broken(self, y, w, depth):
+        raise RuntimeError("broken step")
+
+    monkeypatch.setattr(KLTable, "_step", broken)
+    code = main(["--gens", "2", "kl", "e", "abab"])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("tklwb: internal error: RecursionError")
-    assert err.count("\n") == 1
+    assert err == "tklwb: internal error: RuntimeError: broken step\n"
+
+
+def test_long_words_are_answered(capsys):
+    # far deeper than the interpreter's recursion limit allows one frame a letter
+    code, out = run(capsys, "--gens", "2", "kl", "ab" * 598, "ab" * 600)
+    assert (code, out) == (0, "1\n")
+    fold_299 = "ab" * 299 + "a" + "ba" * 298  # the folds of (ab)^299 and (ab)^300
+    fold_300 = "ab" * 300 + "a" + "ba" * 299
+    assert (len(fold_299), len(fold_300)) == (1195, 1199)
+    code, out = run(capsys, "--gens", "2", "tkl", fold_299, fold_300)
+    assert (code, out) == (0, "1\n")
 
 
 def test_dump_is_deterministic(tmp_path, capsys):
@@ -272,7 +308,7 @@ def test_unusable_user_files_exit_2(tmp_path, capsys):
     assert out.err == f"tklwb: cannot write {missing / 'x.tsv'}: No such file or directory\n"
     code = main(["--gens", "3", "--cache", str(missing / "c.tsv"), "kl", "e", "abcba"])
     out = capsys.readouterr()
-    assert (code, out.out) == (2, "1+q\n")
+    assert (code, out.out) == (2, "")
     assert out.err == f"tklwb: cannot write cache {missing / 'c.tsv'}: No such file or directory\n"
     # a directory where the cache should be cannot be read
     code = main(["--gens", "3", "--cache", str(tmp_path), "kl", "e", "abcba"])

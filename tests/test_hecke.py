@@ -280,6 +280,36 @@ def test_p_matches_oracle_small():
             assert table.p(y, word) == row[y]
 
 
+def test_depth_bound_keeps_values_and_memo(monkeypatch):
+    # A bound of 2 levels sends short words through the retry loop of `p`;
+    # visiting long pairs first leaves the lower pairs to the recurrence.
+    import tklwb.hecke as hecke
+    from tklwb.twisted import TwistedKLTable
+    from tklwb.words import lower_twisted
+
+    def solve_all():
+        table, ttable = KLTable(), TwistedKLTable(SWAP3)
+        values = []
+        for x in sorted(enumerate_words(3, 5), key=len, reverse=True):
+            values += [table.p(y, x) for y in reversed(lower_words(x))]
+        for x in sorted(enumerate_twisted_involutions(SWAP3, 4), key=len, reverse=True):
+            values += [ttable.p(y, x) for y in reversed(lower_twisted(SWAP3, x))]
+        return values, table.snapshot(), ttable.snapshot()
+
+    expected = solve_all()
+    raised = []
+
+    class CountedTooDeep(hecke._TooDeep):
+        def __init__(self, *pair):
+            raised.append(pair)
+            super().__init__(*pair)
+
+    monkeypatch.setattr(hecke, "_MAX_DEPTH", 2)
+    monkeypatch.setattr(hecke, "_TooDeep", CountedTooDeep)
+    assert solve_all() == expected
+    assert raised  # the retry loop ran
+
+
 def test_p_symmetries():
     table = KLTable()
     for word in enumerate_words(3, 5):
