@@ -21,15 +21,14 @@ import os
 import sys
 from typing import TextIO
 
-from .hecke import InternalInconsistencyError, KLTable, kl_product
+from .hecke import InternalInconsistencyError, KLTable, kl_product, row_fault
 from .laurent import LaurentPoly, ParityError, QFormError, parse_poly
 from .positivity import Bounds, CHECK_NAMES, kl_halves, verify
-from .twisted import TwistedKLTable, cs_action_closed, twisted_product
+from .twisted import TwistedKLTable, twisted_product
 from .words import (
     CapExceeded,
     CoxeterSpec,
     GeneratorError,
-    NotTwistedInvolution,
     Word,
     bruhat_leq,
     bruhat_leq_twisted,
@@ -138,8 +137,8 @@ def cache_header(spec: CoxeterSpec) -> str:
 
 def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> None:
     """Seed the tables from a cache file.  A file with a header mismatch is
-    ignored, and so, with a warning, is one with a row that does not parse or
-    that fails the checks `hecke.solve_bar_triangular` puts on a solved row."""
+    ignored, and so, with a warning, is one with a row that does not parse,
+    whose ``y`` is not below ``w``, or that breaks a rule of `hecke.row_fault`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -170,10 +169,9 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
             poly = parse_poly(fields[3])
             if not (bruhat_leq(y, w) if fields[0] == "P" else bruhat_leq_twisted(spec, y, w)):
                 raise ValueError("y is not below w")
-            # the degree bound is len(w)-len(y)-1 below w and leaves only 1 at w
-            bound = max(len(w) - len(y) - 1, 0)
-            if not poly.is_q_poly() or poly.coefficient(0) != 1 or poly.max_exp() > bound:
-                raise ValueError("not a q-polynomial with constant term 1 within the degree bound")
+            fault = row_fault(y, w, poly)
+            if fault:
+                raise ValueError(f"the value {fault}")
         except ValueError as exc:
             print(
                 f"tklwb: warning: ignoring cache {path}: bad line {line!r}: {exc}",
@@ -290,7 +288,7 @@ def _cmd_mult(args, spec, table, ttable, out) -> int:
     if len(s) != 1:
         raise GeneratorError(f"mult expects a single generator, got {args.s!r}")
     w = check_twisted_involution(spec, parse_word(args.w, spec.gen_count))
-    _emit_terms(args, out, "A", cs_action_closed(spec, s[0], w))
+    _emit_terms(args, out, "A", twisted_product(spec, s, w))
     return 0
 
 
@@ -388,10 +386,11 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"tklwb: {exc}", file=sys.stderr)
         return 4
-    except InternalInconsistencyError as exc:
+    except (InternalInconsistencyError, ParityError, QFormError) as exc:
+        # halving and q**2-substitution see only computed values, never input
         print(f"tklwb: internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (GeneratorError, NotTwistedInvolution, QFormError, ParityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"tklwb: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

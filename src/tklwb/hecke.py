@@ -134,8 +134,8 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
     bar-invariant one with ``P[w, w] = 1`` whose lower coefficients have
     strictly negative v-support after shifting by ``v**len(x)``: walking the
     interval downward extracts exactly that part.  The result is re-checked
-    for bar-invariance, membership in Z[q], the degree bound and the unit
-    constant term; ``name`` labels the polynomials in error messages.
+    for bar-invariance and, entry by entry, by `row_fault`; ``name`` labels
+    the polynomials in error messages.
     """
     coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
     barred: dict[Word, LaurentPoly] = {}
@@ -158,14 +158,25 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
     row: dict[Word, LaurentPoly] = {}
     for x in interval:
         p = coeffs.get(x, ZERO).shift(len(w))
-        if not p.is_q_poly():
-            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} is not in Z[q]")
-        if x != w and p.max_exp() > len(w) - len(x) - 1:
-            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} breaks the degree bound")
-        if p.coefficient(0) != 1:
-            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} has constant term != 1")
+        fault = row_fault(x, w, p)
+        if fault:
+            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} {fault}")
         row[x] = p
     return row
+
+
+def row_fault(x: Word, w: Word, p: LaurentPoly) -> str:
+    """The first rule that ``p`` breaks as the entry ``[x, w]`` of a solved
+    row, or ``""``: it lies in Z[q], its degree is at most
+    ``len(w) - len(x) - 1`` below ``w`` (so only 1 is left at ``w``), and its
+    constant term is 1."""
+    if not p.is_q_poly():
+        return "is not in Z[q]"
+    if p.max_exp() > max(len(w) - len(x) - 1, 0):
+        return "breaks the degree bound"
+    if p.coefficient(0) != 1:
+        return "has constant term != 1"
+    return ""
 
 
 def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:

@@ -37,7 +37,6 @@ from .laurent import (
 )
 from .twisted import (
     TwistedKLTable,
-    cs_action_closed,
     twisted_product,
     twisted_product_direct,
 )
@@ -390,9 +389,8 @@ def _eval_regular_embedding(state, t):
 def _eval_msigma_closed_form(state, t):
     spec, _, ttable = state
     y, w = t
-    s, r = y[0], w[0]
-    rwr = multiply(multiply((r,), w), (spec.star[r],))
-    expected = ONE if (y == rwr or (y, w) == ((s,), (r,))) else ZERO
+    s = y[0]
+    expected = twisted_product(spec, (s,), w).get(y, ZERO)
     got = ttable.cs_coefficient(y, w, s)
     if got != expected:
         yield _violation(
@@ -407,7 +405,7 @@ def _eval_mult_formula(state, t):
         yield from _eval_cs_recurrence(spec, ttable, s, w)
         return
     got = ttable.cs_action(s, w)
-    if got != cs_action_closed(spec, s, w):
+    if got != twisted_product(spec, (s,), w):
         yield _violation(((s,), w), "coefficient expansion disagrees with closed form")
     if got != twisted_product_direct(spec, table, ttable, (s,), w):
         yield _violation(((s,), w), "coefficient expansion disagrees with direct action")

@@ -21,12 +21,12 @@ recurrence, `_step`).  The recurrence route exists because the generic
 coefficient recurrence is circular if applied naively; here it is used only
 as a checked identity, never as a computation path (see `positivity`).
 
-The top-coefficient data ``mu``/``nu``/``mu_s`` feeds the expansion of
-``C_s A_w`` (`cs_action`), which in universal systems collapses to a four
-case closed form (`cs_action_closed`).  ``C_x A_y`` in the distinguished
-basis has a closed combinatorial expansion (`twisted_product`, with the
-correction terms of `twisted_correction`), cross-checkable against the
-standard-basis action route (`twisted_product_direct`).
+``C_x A_y`` in the distinguished basis has a closed combinatorial expansion
+(`twisted_product`, with the correction terms of `twisted_correction`),
+cross-checkable against the standard-basis action route
+(`twisted_product_direct`).  At ``x = s`` it is the closed form of
+``C_s A_w``, which the top-coefficient data ``mu``/``nu``/``mu_s`` also
+expands (`cs_action`).
 """
 
 from __future__ import annotations
@@ -238,34 +238,6 @@ class TwistedKLTable(_Table):
                 if f:
                     out[y] = f
         return out
-
-
-def cs_action_closed(spec: CoxeterSpec, s: int, w: Word) -> Elt:
-    """The universal closed form of ``C_s A_w``.
-
-    Descent: ``(q + q**-1) A_w``.  Otherwise ``A_{s#w}`` plus at most one
-    lower term: ``A_{rwr*}`` when the conjugate by the descent ``r`` of ``w``
-    has descent ``s``; ``A_s`` when ``w`` is a star-fixed generator; and a
-    ``(v + v**-1)`` prefactor instead when ``w`` is the identity and ``s`` is
-    star-fixed.
-    """
-    check_twisted_involution(spec, w)
-    if w and w[0] == s:
-        return {w: Q_PLUS_QINV}
-    if not w:
-        if spec.star[s] == s:
-            return {(s,): V_PLUS_VINV}
-        return {twist(spec, s, w): ONE}
-    out: Elt = {twist(spec, s, w): ONE}
-    if len(w) == 1:
-        if spec.star[s] == s:
-            out[(s,)] = ONE
-    else:
-        r = w[0]
-        rwr = multiply(multiply((r,), w), (spec.star[r],))
-        if rwr and rwr[0] == s:
-            out[rwr] = ONE
-    return out
 
 
 def twisted_correction(spec: CoxeterSpec, w: Word, j: int) -> Elt:

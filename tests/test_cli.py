@@ -210,6 +210,18 @@ def test_unexpected_error_exits_3_without_traceback(capsys, monkeypatch):
     assert err == "tklwb: internal error: RuntimeError: broken step\n"
 
 
+def test_unhalvable_recurrence_value_exits_3(capsys, monkeypatch):
+    # pm halves recurrence values, so a parity failure there is a defect
+    from tklwb.laurent import parse_poly
+    from tklwb.twisted import TwistedKLTable
+
+    monkeypatch.setattr(TwistedKLTable, "p", lambda self, y, w: parse_poly("2+q"))
+    code = main(["--gens", "3", "pm", "e", "abcba"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "tklwb: internal inconsistency: 1+q and 2+q are not congruent mod 2\n"
+
+
 def test_long_words_are_answered(capsys):
     # far deeper than the interpreter's recursion limit allows one frame a letter
     code, out = run(capsys, "--gens", "2", "kl", "ab" * 598, "ab" * 600)
@@ -376,6 +388,19 @@ def test_cache_rows_must_be_solver_valid(tmp_path, capsys):
     cache.write_text(header + "P\te\tabcba\t1+q\nP\taba\taba\t1\nPsig\te\tab\t1\n")
     assert main(["--gens", "3", "--star", "(a b)", "--cache", str(cache), "kl", "e", "abcba"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cache_warning_names_the_broken_rule(tmp_path, capsys):
+    cache = tmp_path / "cache.tsv"
+    for poly, rule in (
+        ("v+q", "is not in Z[q]"),
+        ("1+q^3", "breaks the degree bound"),
+        ("2+q", "has constant term != 1"),
+    ):
+        cache.write_text(f"tklwb-cache v1 gens=3 star=id\nP\te\tabcba\t{poly}\n")
+        assert main(["--gens", "3", "--cache", str(cache), "enum", "0"]) == 0
+        err = capsys.readouterr().err
+        assert err.endswith(f": the value {rule}\n"), err
 
 
 def test_cache_accepts_dump_output(tmp_path, capsys):

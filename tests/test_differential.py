@@ -1,0 +1,58 @@
+"""The closed-form products against the direct routes on random operands
+past the bounds of the ``structure-theorems`` sweep (ell <= 4, rho <= 3 at
+3 generators): words of length 3-5 on the left, words of length 3-5 or
+twisted involutions of rank 3-5 on the right, 2-5 generators and any
+diagram involution."""
+
+from hypothesis import given, settings, strategies as st
+
+from tklwb.hecke import KLTable, kl_product, kl_product_direct
+from tklwb.twisted import TwistedKLTable, twisted_product, twisted_product_direct
+from tklwb.words import IDENTITY, CoxeterSpec, twist_word
+
+
+@st.composite
+def specs(draw):
+    gens = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(gens)))
+    pairs = draw(st.integers(0, gens // 2))
+    star = list(range(gens))
+    for i in range(pairs):
+        a, b = order[2 * i], order[2 * i + 1]
+        star[a], star[b] = b, a
+    return CoxeterSpec(gens, tuple(star))
+
+
+@st.composite
+def reduced_words(draw, gens):
+    """A reduced word of length 3-5: no letter repeats its neighbour."""
+    word = []
+    for _ in range(draw(st.integers(3, 5))):
+        s = draw(st.integers(0, gens - 1))
+        if word and s == word[-1]:
+            s = (s + 1) % gens
+        word.append(s)
+    return tuple(word)
+
+
+_SETTINGS = settings(derandomize=True, max_examples=75, deadline=None)
+
+
+@_SETTINGS
+@given(st.data())
+def test_kl_product_matches_direct_route(data):
+    gens = data.draw(st.integers(2, 5))
+    x = data.draw(reduced_words(gens))
+    y = data.draw(reduced_words(gens))
+    assert kl_product(x, y) == kl_product_direct(KLTable(), x, y)
+
+
+@_SETTINGS
+@given(st.data())
+def test_twisted_product_matches_direct_route(data):
+    spec = data.draw(specs())
+    x = data.draw(reduced_words(spec.gen_count))
+    # the fold of a reduced word of length 3-5 is a twisted involution of rank 3-5
+    y = twist_word(spec, data.draw(reduced_words(spec.gen_count)), IDENTITY)
+    got = twisted_product(spec, x, y)
+    assert got == twisted_product_direct(spec, KLTable(), TwistedKLTable(spec), x, y)

@@ -8,7 +8,6 @@ from tklwb.laurent import ONE, Q, V, ZERO, parse_poly, substitute_q_squared, v_p
 from tklwb.twisted import (
     TwistedKLTable,
     bar_basis,
-    cs_action_closed,
     gen_action,
     hecke_action,
     twisted_correction,
@@ -310,7 +309,7 @@ def test_cs_action_examples():
     assert tt.cs_action(0, w("aba")) == {w("aba"): qq}
     assert tt.cs_action(0, ()) == {w("a"): vv}
     assert tt.cs_action(0, w("b")) == {w("aba"): ONE, w("a"): ONE}
-    assert cs_action_closed(ID3, 0, w("b")) == {w("aba"): ONE, w("a"): ONE}
+    assert twisted_product(ID3, w("a"), w("b")) == {w("aba"): ONE, w("a"): ONE}
     tt2 = TwistedKLTable(SWAP2)
     assert tt2.cs_action(0, ()) == {w("ab", 2): ONE}
 
@@ -338,7 +337,7 @@ def test_cs_action_three_routes_agree():
         for word in enumerate_twisted_involutions(spec, 3):
             for s in range(spec.gen_count):
                 got = tt.cs_action(s, word)
-                assert got == cs_action_closed(spec, s, word)
+                assert got == twisted_product(spec, (s,), word)
                 assert got == twisted_product_direct(spec, table, tt, (s,), word)
 
 
