@@ -30,16 +30,12 @@ from .words import (
     CoxeterSpec,
     GeneratorError,
     Word,
-    bruhat_leq,
-    bruhat_leq_twisted,
     check_twisted_involution,
     ell_star,
     enumerate_twisted_involutions,
     enumerate_words,
     format_star,
     format_word,
-    lower_twisted,
-    lower_words,
     parse_star,
     parse_word,
     rho,
@@ -167,7 +163,7 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
             y = parse_word(fields[1], spec.gen_count)
             w = parse_word(fields[2], spec.gen_count)
             poly = parse_poly(fields[3])
-            if not (bruhat_leq(y, w) if fields[0] == "P" else bruhat_leq_twisted(spec, y, w)):
+            if not {"P": table, "Psig": ttable}[fields[0]].leq(y, w):
                 raise ValueError("y is not below w")
             fault = row_fault(y, w, poly)
             if fault:
@@ -327,10 +323,10 @@ def _cmd_dump(args, spec, table, ttable, out) -> int:
     words = enumerate_words(spec.gen_count, args.max_ell, args.cap)
     invs = enumerate_twisted_involutions(spec, args.max_rho, args.cap)
     for w in words:
-        for y in lower_words(w):
+        for y in table.interval(w):
             lines.append(f"P\t{format_word(y)}\t{format_word(w)}\t{table.p(y, w)}")
     for w in invs:
-        for y in lower_twisted(spec, w):
+        for y in ttable.interval(w):
             lines.append(f"Psig\t{format_word(y)}\t{format_word(w)}\t{ttable.p(y, w)}")
     for x in words:
         for y in words:

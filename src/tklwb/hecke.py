@@ -206,13 +206,15 @@ class _TooDeep(Exception):
 class _Table:
     """The memos of a Kazhdan-Lusztig table and what is built from them.
 
-    A subclass gives the order test ``_leq``, one recurrence ``_step`` (which
+    A subclass gives the order test ``leq``, one recurrence ``_step`` (which
     reads lower pairs by ``_p``), the interval rule ``_below(w)`` (the indices
     below ``w``, in (length, lex) order), the bar image ``_bar(x)`` of the
     standard basis element of ``x`` and the ``name`` of its polynomials in
     oracle error messages.  The recurrence memo and the oracle rows are kept
     separate so the two routes stay independent.  Returned rows, basis
-    elements and intervals are shared through the memos; treat them as immutable.
+    elements and intervals are shared through the memos; treat them as
+    immutable.  Every caller reads intervals here, so each is built once per
+    table, and its words are the tuples of the memo keys.
 
     Single-writer: share a table across threads only for reads of entries
     computed before the handoff.
@@ -220,7 +222,7 @@ class _Table:
 
     def __init__(self) -> None:
         self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
-        self._words: dict[Word, Word] = {}  # one tuple per word in the memo keys
+        self._words: dict[Word, Word] = {}  # one tuple per word in memo keys and intervals
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
         self._basis: dict[Word, Elt] = {}
         self._intervals: dict[Word, tuple[Word, ...]] = {}
@@ -242,12 +244,12 @@ class _Table:
             return ONE
         if len(w) - len(y) <= 2:  # never memoised, so before the memo lookup
             # the degree bound forces a constant, and the constant term is 1
-            return ONE if self._leq(y, w) else ZERO
+            return ONE if self.leq(y, w) else ZERO
         # a memoised pair passed the order test when it was stored
         got = self._fast.get((y, w))
         if got is not None:
             return got
-        if not self._leq(y, w):
+        if not self.leq(y, w):
             return ZERO
         if depth > _MAX_DEPTH:
             raise _TooDeep(y, w)
@@ -262,14 +264,15 @@ class _Table:
             return ONE
         if len(y) < len(w) and (got := self.oracle_row(w).get(y)) is not None:
             return got
-        self._leq(y, w)  # raises for an index the table does not have
+        self.leq(y, w)  # raises for an index the table does not have
         return ZERO
 
     def interval(self, w: Word) -> tuple[Word, ...]:
         """The indices below ``w``, in (length, lex) order."""
         got = self._intervals.get(w)
         if got is None:
-            got = self._intervals[w] = self._below(w)
+            intern = self._words.setdefault
+            got = self._intervals[w] = tuple(intern(y, y) for y in self._below(w))
         return got
 
     def oracle_row(self, w: Word) -> dict[Word, LaurentPoly]:
@@ -315,7 +318,7 @@ class KLTable(_Table):
     def _bar(self, x: Word) -> Elt:
         return bar_t(x)
 
-    _leq = staticmethod(bruhat_leq)
+    leq = staticmethod(bruhat_leq)
 
     def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
         """``P[y, w]`` by descent reduction plus the universal recurrence.

@@ -14,9 +14,10 @@ engines that ``oracle-equivalence`` holds against those same oracles.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .hecke import (
     KLTable,
@@ -37,6 +38,8 @@ from .laurent import (
 )
 from .twisted import (
     TwistedKLTable,
+    _Q2,
+    _Q_PLUS_1,
     twisted_product,
     twisted_product_direct,
 )
@@ -52,8 +55,6 @@ from .words import (
     format_word,
     inverse,
     is_twisted_involution,
-    lower_twisted,
-    lower_words,
     multiply,
     rho,
     star_word,
@@ -61,8 +62,6 @@ from .words import (
     word_key,
 )
 
-_QP1 = Q + ONE
-_Q2 = v_power(4)
 
 @dataclass(frozen=True)
 class Bounds:
@@ -70,9 +69,6 @@ class Bounds:
 
     max_rho: int = 4
     max_ell: int = 4
-
-    def to_dict(self) -> dict:
-        return {"max_rho": self.max_rho, "max_ell": self.max_ell}
 
 
 @dataclass(frozen=True)
@@ -97,14 +93,7 @@ class SweepReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "spec": str(self.spec),
-            "bounds": self.bounds.to_dict(),
-            "check": self.check,
-            "tuples_checked": self.tuples_checked,
-            "violations": self.violations,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {**asdict(self), "spec": str(self.spec)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -147,102 +136,99 @@ def _violation(words: tuple[Word, ...], detail: str) -> dict:
     return {"tuple": [format_word(u) for u in words], "detail": detail}
 
 
-# -- tuple spaces: (spec, bounds, cap) -> the tuples of a check, in canonical order
+# -- tuple spaces: (state, bounds, cap) -> the tuples of a check, in canonical
+# order, with intervals and order tests read from the state's tables
 
 
-def _words(spec, bounds, cap):
-    return enumerate_words(spec.gen_count, bounds.max_ell, cap)
+def _words(state, bounds, cap):
+    return enumerate_words(state[0].gen_count, bounds.max_ell, cap)
 
 
-def _involutions(spec, bounds, cap):
-    return enumerate_twisted_involutions(spec, bounds.max_rho, cap)
+def _involutions(state, bounds, cap):
+    return enumerate_twisted_involutions(state[0], bounds.max_rho, cap)
 
 
-def _word_pairs(spec, bounds, cap):
+def _word_pairs(state, bounds, cap):
     """``(w, y)`` for every word ``w`` and ``y <= w``."""
-    return [(w, y) for w in _words(spec, bounds, cap) for y in lower_words(w)]
+    return [(w, y) for w in _words(state, bounds, cap) for y in state[1].interval(w)]
 
 
-def _involution_pairs(spec, bounds, cap):
+def _involution_pairs(state, bounds, cap):
     """``(w, y)`` for every twisted involution ``w`` and ``y <= w``."""
-    return [(w, y) for w in _involutions(spec, bounds, cap) for y in lower_twisted(spec, w)]
+    return [(w, y) for w in _involutions(state, bounds, cap) for y in state[2].interval(w)]
 
 
-def _word_triples(spec, bounds, cap):
-    """``(w, y, z)`` with ``y < z <= w`` among words."""
+def _triples(table, ws):
+    """``(w, y, z)`` for every ``w`` in ``ws`` and ``y < z <= w`` in ``table``."""
     return [
         (w, y, z)
-        for w in _words(spec, bounds, cap)
-        for below in (lower_words(w),)
+        for w in ws
+        for below in (table.interval(w),)
         for y in below
         for z in below
-        if y != z and bruhat_leq(y, z)
+        if y != z and table.leq(y, z)
     ]
 
 
-def _involution_triples(spec, bounds, cap):
-    """``(w, y, z)`` with ``y < z <= w`` among twisted involutions."""
-    return [
-        (w, y, z)
-        for w in _involutions(spec, bounds, cap)
-        for below in (lower_twisted(spec, w),)
-        for y in below
-        for z in below
-        if y != z and bruhat_leq_twisted(spec, y, z)
-    ]
+def _word_triples(state, bounds, cap):
+    return _triples(state[1], _words(state, bounds, cap))
 
 
-def _involution_singletons(spec, bounds, cap):
-    return [(w,) for w in _involutions(spec, bounds, cap)]
+def _involution_triples(state, bounds, cap):
+    return _triples(state[2], _involutions(state, bounds, cap))
 
 
-def _word_squares(spec, bounds, cap):
-    words = _words(spec, bounds, cap)
+def _involution_singletons(state, bounds, cap):
+    return [(w,) for w in _involutions(state, bounds, cap)]
+
+
+def _word_squares(state, bounds, cap):
+    words = _words(state, bounds, cap)
     return [(x, y) for x in words for y in words]
 
 
-def _involution_squares(spec, bounds, cap):
-    invs = _involutions(spec, bounds, cap)
+def _involution_squares(state, bounds, cap):
+    invs = _involutions(state, bounds, cap)
     return [(y, w) for y in invs for w in invs]
 
 
-def _words_by_involutions(spec, bounds, cap):
-    words = _words(spec, bounds, cap)
-    invs = _involutions(spec, bounds, cap)
+def _words_by_involutions(state, bounds, cap):
+    words = _words(state, bounds, cap)
+    invs = _involutions(state, bounds, cap)
     return [(x, y) for x in words for y in invs]
 
 
-def _both_pairs(spec, bounds, cap):
+def _both_pairs(state, bounds, cap):
     """`_word_pairs` tagged ``"w"``, then `_involution_pairs` tagged ``"i"``."""
-    return [("w",) + t for t in _word_pairs(spec, bounds, cap)] + [
-        ("i",) + t for t in _involution_pairs(spec, bounds, cap)
+    return [("w",) + t for t in _word_pairs(state, bounds, cap)] + [
+        ("i",) + t for t in _involution_pairs(state, bounds, cap)
     ]
 
 
-def _embedded_pairs(spec, bounds, cap):
+def _embedded_pairs(state, bounds, cap):
     # Meaningful only for a fixed-point-free star; otherwise vacuous.
-    return _word_pairs(spec, bounds, cap) if spec.star_is_fixed_point_free else []
+    return _word_pairs(state, bounds, cap) if state[0].star_is_fixed_point_free else []
 
 
-def _msigma_pairs(spec, bounds, cap):
+def _msigma_pairs(state, bounds, cap):
     """``(y, w)``: ``y <= w`` nontrivial twisted involutions of distinct descents."""
-    return [(y, w) for w, y in _involution_pairs(spec, bounds, cap) if y and y[0] != w[0]]
+    return [(y, w) for w, y in _involution_pairs(state, bounds, cap) if y and y[0] != w[0]]
 
 
-def _generator_actions(spec, bounds, cap):
+def _generator_actions(state, bounds, cap):
     """``("act", s, w)`` for every generator and twisted involution, then
     ``("rec", s, w)`` for every nontrivial ``w`` and its descent ``s``."""
-    invs = _involutions(spec, bounds, cap)
-    return [("act", s, w) for s in range(spec.gen_count) for w in invs] + [
+    invs = _involutions(state, bounds, cap)
+    return [("act", s, w) for s in range(state[0].gen_count) for w in invs] + [
         ("rec", w[0], w) for w in invs if w
     ]
 
 
-def _product_operands(spec, bounds, cap):
+def _product_operands(state, bounds, cap):
     """``("kl", x, y)`` over words by words and involutions, then
     ``("tw", x, y)`` over words by involutions."""
-    words = _words(spec, bounds, cap)
-    invs = _involutions(spec, bounds, cap)
+    words = _words(state, bounds, cap)
+    invs = _involutions(state, bounds, cap)
     right = sorted(set(words) | set(invs), key=word_key)
     return [("kl", x, y) for x in words for y in right] + [
         ("tw", x, y) for x in words for y in invs
@@ -421,27 +407,29 @@ def _eval_cs_recurrence(spec, ttable, s, w):
 
     over twisted involutions ``z`` with descent ``s`` and ``y <= z < w``;
     ``c`` and ``d`` flag whether the twist on ``w`` and ``y`` is a one-letter
-    step.  This identity is circular as a computation scheme, so it is only
-    ever evaluated as a check.
+    step (it shortens by one).  This identity is circular as a computation
+    scheme, so it is only ever evaluated as a check.
     """
     pf = ttable.p_oracle
     w1 = twist(spec, s, w)
-    c = 1 if multiply((s,), w) == multiply(w, (spec.star[s],)) else 0
+    c = len(w1) == len(w) - 1
+    terms = []  # (z, v^(len(w)-len(z)+c) cs_coefficient(z, w1, s))
+    for z in ttable.interval(w):
+        if z != w and z and z[0] == s:
+            m = ttable.cs_coefficient(z, w1, s)
+            if m:
+                terms.append((z, v_power(len(w) - len(z) + c) * m))
     for y in ttable.interval(w):
         if not (y and y[0] == s):
             continue
-        d = 1 if multiply((s,), y) == multiply(y, (spec.star[s],)) else 0
-        lhs = (_QP1 if c else ONE) * pf(y, w)
-        rhs = (_QP1 if d else ONE) * pf(twist(spec, s, y), w1)
+        sy = twist(spec, s, y)
+        d = len(sy) == len(y) - 1
+        lhs = (_Q_PLUS_1 if c else ONE) * pf(y, w)
+        rhs = (_Q_PLUS_1 if d else ONE) * pf(sy, w1)
         rhs = rhs + (_Q2 - (Q if d else ZERO)) * pf(y, w1)
-        for z in ttable.interval(w):
-            if z == w or not (z and z[0] == s):
-                continue
-            if not bruhat_leq(y, z):  # agrees with the twisted order here
-                continue
-            m = ttable.cs_coefficient(z, w1, s)
-            if m:
-                rhs = rhs - v_power(len(w) - len(z) + c) * m * pf(y, z)
+        for z, f in terms:
+            if bruhat_leq(y, z):  # agrees with the twisted order here
+                rhs = rhs - f * pf(y, z)
         if lhs != rhs:
             yield _violation((y, w, (s,)), f"coefficient recurrence: lhs {lhs} != rhs {rhs}")
 
@@ -494,28 +482,31 @@ def verify(
 ) -> SweepReport:
     """Run one named check over its tuple space and report every violation.
 
-    With ``jobs > 1`` the tuple list is split into contiguous chunks, each
-    evaluated by a worker with private memo tables; results are concatenated
-    in chunk order, so the report does not depend on the thread count.
+    The tuple space is built on one state's tables, which a single worker
+    then evaluates on.  With ``jobs > 1`` the tuple list is split into
+    ``min(jobs, cpu count, tuples)`` contiguous chunks, each evaluated by a
+    thread with private memo tables; results are concatenated in chunk order,
+    so the report does not depend on the thread count.
     """
     name = check.lower()
     if name not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
     start = time.monotonic()
     space, evaluate = _CHECKS[name]
-    tuples = space(spec, bounds, cap)
-
-    def run_chunk(chunk):
-        state = (spec, KLTable(), TwistedKLTable(spec))
-        return [v for t in chunk for v in evaluate(state, t)]
-
-    if jobs <= 1 or len(tuples) < 2:
-        violations = run_chunk(tuples)
+    state = (spec, KLTable(), TwistedKLTable(spec))
+    tuples = space(state, bounds, cap)
+    workers = min(jobs, os.cpu_count() or 1, len(tuples))
+    if workers <= 1:
+        violations = [v for t in tuples for v in evaluate(state, t)]
     else:
-        size = (len(tuples) + jobs - 1) // jobs
-        chunks = [tuples[i : i + size] for i in range(0, len(tuples), size)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-        violations = [v for part in parts for v in part]
+
+        def run_chunk(chunk):
+            fresh = (spec, KLTable(), TwistedKLTable(spec))
+            return [v for t in chunk for v in evaluate(fresh, t)]
+
+        n = len(tuples)
+        chunks = [tuples[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            violations = [v for part in pool.map(run_chunk, chunks) for v in part]
     elapsed = int((time.monotonic() - start) * 1000)
     return SweepReport(spec, bounds, name, len(tuples), violations, elapsed)

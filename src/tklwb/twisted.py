@@ -138,7 +138,7 @@ class TwistedKLTable(_Table):
     def _bar(self, x: Word) -> Elt:
         return bar_basis(self.spec, x)
 
-    def _leq(self, y: Word, w: Word) -> bool:
+    def leq(self, y: Word, w: Word) -> bool:
         return bruhat_leq_twisted(self.spec, y, w)
 
     def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
@@ -192,11 +192,9 @@ class TwistedKLTable(_Table):
         if not (y and y[0] == s) or (w and w[0] == s):
             raise ValueError("mu_s needs s a left descent of y and not of w")
         total = self.nu(y, w)
-        sy, sw = twist(spec, s, y), twist(spec, s, w)
-        if len(sy) == len(y) - 1:  # one-letter steps: s y == y s*, s w == w s*
+        sy = twist(spec, s, y)
+        if len(sy) == len(y) - 1:  # a one-letter step: s y == y s*
             total += self.mu(sy, w)
-        if len(sw) == len(w) + 1:
-            total -= self.mu(y, sw)
         # nu checked y, so y and x are twisted involutions: plain order agrees
         for x in self.interval(w):
             if x and x[0] == s and bruhat_leq(y, x):

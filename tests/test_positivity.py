@@ -116,7 +116,71 @@ def test_violations_are_recorded_not_raised():
     table = KLTable()
     table._fast[((), w("abc"))] = parse_poly("1+q")  # wrong on purpose
     state = (ID3, table, TwistedKLTable(ID3))
-    found = [v for t in space(ID3, Bounds(3, 3), 10**6) for v in evaluate(state, t)]
+    found = [v for t in space(state, Bounds(3, 3), 10**6) for v in evaluate(state, t)]
     assert found == [
         {"tuple": ["e", "abc"], "detail": "P recurrence gives 1+q, oracle gives 1"}
     ]
+
+
+def test_a_sweep_builds_each_interval_once(monkeypatch):
+    # the tuple space and the evaluators read one pair of tables
+    import tklwb.cli
+    import tklwb.hecke
+    import tklwb.positivity
+    import tklwb.twisted
+
+    built = []
+
+    def counted(rule, real):
+        def wrapper(*args):
+            built.append((rule, args[-1]))
+            return real(*args)
+
+        return wrapper
+
+    for module in (tklwb.hecke, tklwb.twisted, tklwb.positivity, tklwb.cli):
+        for rule in ("lower_words", "lower_twisted"):
+            if hasattr(module, rule):
+                monkeypatch.setattr(module, rule, counted(rule, getattr(module, rule)))
+    assert verify("oracle-equivalence", SWAP3, SMALL).passed
+    assert len(built) == len(set(built)) == 44
+
+
+class SerialPool:
+    """Stands in for ThreadPoolExecutor: records its size, starts no thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        chunks = list(chunks)
+        self.sizes.append(len(chunks))
+        return map(fn, chunks)
+
+
+@pytest.mark.parametrize(
+    "cores, bounds, started",
+    [
+        (2, SMALL, [2, 2]),  # one thread per core, not one per tuple
+        (None, SMALL, []),  # an unknown core count counts as one: no pool
+        (10**4, Bounds(max_rho=1, max_ell=0), [3, 3]),  # three tuples: three threads
+    ],
+)
+def test_jobs_start_at_most_one_thread_per_core_and_tuple(monkeypatch, cores, bounds, started):
+    import tklwb.positivity as positivity
+
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(positivity, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(positivity.os, "cpu_count", lambda: cores)
+    one = verify("rho-grading", SWAP2, bounds)
+    many = verify("rho-grading", SWAP2, bounds, jobs=10**6)
+    assert SerialPool.sizes == started
+    assert many.to_dict() | {"elapsed_ms": 0} == one.to_dict() | {"elapsed_ms": 0}
