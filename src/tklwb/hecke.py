@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .laurent import LaurentPoly, ONE, Q, ZERO, v_power
+# InternalInconsistencyError is defined beside the arithmetic, whose overflow
+# guard raises it, and re-exported here for the solve checks' callers.
+from .laurent import InternalInconsistencyError, LaurentPoly, ONE, Q, ZERO, v_power
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -48,26 +50,35 @@ _QINV = v_power(-2)
 _QINV_MINUS_1 = _QINV - ONE
 
 
-class InternalInconsistencyError(RuntimeError):
-    """A solved element failed its own verification; indicates a bug."""
-
-
 Elt = dict  # Word -> nonzero LaurentPoly: an algebra or a module element
 
 
 def accumulate(acc: dict, w: Word, f: LaurentPoly) -> None:
-    """``acc[w] += f``, dropping the entry when it cancels."""
-    g = acc.get(w, ZERO) + f
-    if g:
+    """``acc[w] += f`` for a nonzero ``f``, dropping the entry when it cancels."""
+    g = acc.get(w)
+    if g is None:
+        acc[w] = f
+    elif (g := g + f).n:
         acc[w] = g
     else:
-        acc.pop(w, None)
+        del acc[w]
 
 
 def add_scaled(acc: dict, terms: dict, factor) -> None:
-    """``acc += factor * terms`` for sparse word->polynomial maps."""
+    """``acc += factor * terms`` for sparse word->polynomial maps whose
+    entries are nonzero (`accumulate`, inlined: this is the hot loop)."""
+    if not factor:
+        return
+    get = acc.get
     for w, f in terms.items():
-        accumulate(acc, w, factor * f)
+        f = factor * f
+        g = get(w)
+        if g is None:
+            acc[w] = f
+        elif (g := g + f).n:  # nonzero, without a call to __bool__
+            acc[w] = g
+        else:
+            del acc[w]
 
 
 def gen_mul_left(s: int, h: Elt) -> Elt:

@@ -1,7 +1,23 @@
 """Exact integer Laurent polynomials in ``v``, with ``q = v**2``.
 
-Values are sparse maps from v-exponent to a nonzero integer coefficient;
-Python integers are arbitrary precision, so all arithmetic here is exact.
+A value is packed by Kronecker substitution: ``v**low`` times the Python
+integer ``n = sum a_k 2**(64 k)``, read as signed 64-bit digits ``a_k``, the
+coefficient of ``v**(low + k)``.  Add and subtract are then one shift and
+one integer add, multiply is one integer product, and ``==`` compares
+``(low, n)``: the form is canonical because the lowest digit is never zero
+(zero is ``(0, 0)``) and a digit string with every digit in
+``(-2**63, 2**63)`` is the only one for its integer.  Only the leaves
+(``str``, `LaurentPoly.coefficient`, `LaurentPoly.bar`, the sign and
+support tests) decode digits.
+
+Coefficients must have magnitude below ``2**63``.  The constructor and
+`parse_poly` reject a larger one with ``ValueError``; arithmetic carries an
+upper bound on each value's L1 norm (a sum adds the bounds, a product
+multiplies them), and before a result whose bound reaches ``2**63`` it
+recomputes the operands' exact norms and, if those still do not fit, raises
+`InternalInconsistencyError` rather than let a digit overflow.  No wrong
+value ever comes out silently.
+
 The text grammar is ``term (("+"|"-") term)*`` with
 ``term = [coeff]["v"|"q"]["^" int]`` and ``"0"`` for zero.  Terms are
 emitted in ascending v-exponent; the emitter uses the ``q`` form exactly
@@ -13,6 +29,10 @@ from __future__ import annotations
 
 import re
 
+_DIGIT = 64
+_MASK = (1 << _DIGIT) - 1
+_HALF = 1 << (_DIGIT - 1)  # the least coefficient magnitude that does not fit
+
 
 class QFormError(ValueError):
     """A value required to be a polynomial in ``q`` is not one."""
@@ -22,10 +42,79 @@ class ParityError(ValueError):
     """A halved sum or difference had an odd coefficient."""
 
 
-class LaurentPoly:
-    """Immutable sparse Laurent polynomial over the integers."""
+class InternalInconsistencyError(RuntimeError):
+    """A computed value failed its own verification, or a coefficient would
+    leave the exact range; indicates a bug or an input past the design."""
 
-    __slots__ = ("c",)
+
+def _digits(n: int) -> list[int]:
+    """The signed digits of ``n``, lowest first, without trailing zeros."""
+    out = []
+    while n:
+        a = ((n + _HALF) & _MASK) - _HALF
+        out.append(a)
+        n = (n - a) >> _DIGIT
+    return out
+
+
+def _pack(digits, width: int = _DIGIT) -> int:
+    """The integer with the signed ``digits``, lowest first, ``width`` bits apart."""
+    n = 0
+    for a in reversed(digits):
+        n = (n << width) + a
+    return n
+
+
+_new = object.__new__
+
+
+def _make(low: int, n: int, bound: int) -> "LaurentPoly":
+    # trusted constructor: (low, n) canonical, bound >= the L1 norm
+    p = _new(LaurentPoly)
+    p.low = low
+    p.n = n
+    p.bound = bound
+    return p
+
+
+def _from_terms(terms: dict[int, int]) -> "LaurentPoly":
+    """The value with the nonzero coefficients ``terms``; each must fit."""
+    if not terms:
+        return ZERO
+    for a in terms.values():
+        if not -_HALF < a < _HALF:
+            raise ValueError(f"coefficient {a} is out of range: magnitude 2^63 or more")
+    low = min(terms)
+    n = sum(a << (_DIGIT * (k - low)) for k, a in terms.items())
+    return _make(low, n, sum(map(abs, terms.values())))
+
+
+def _strip(low: int, n: int, bound: int) -> "LaurentPoly":
+    """Canonicalise ``(low, n)`` by dropping its zero low digits."""
+    if not n:
+        return ZERO
+    k = ((n & -n).bit_length() - 1) // _DIGIT
+    return _make(low + k, n >> (_DIGIT * k), bound)
+
+
+def _refit(p: "LaurentPoly", r: "LaurentPoly", op: str) -> int:
+    """The bound of ``p op r`` from the operands' exact L1 norms, which also
+    replace their stale bounds; raise if even that does not fit."""
+    p.bound = sum(map(abs, _digits(p.n)))
+    r.bound = sum(map(abs, _digits(r.n)))
+    bound = p.bound * r.bound if op == "*" else p.bound + r.bound
+    if bound >= _HALF:
+        raise InternalInconsistencyError(
+            f"coefficient overflow: ({p}) {op} ({r}) may reach 2^63 (L1 bound {bound})"
+        )
+    return bound
+
+
+class LaurentPoly:
+    """Immutable Laurent polynomial over the integers, packed as ``(low, n)``;
+    ``bound`` bounds its L1 norm."""
+
+    __slots__ = ("low", "n", "bound")
 
     def __init__(self, coeffs=None):
         c: dict[int, int] = {}
@@ -37,150 +126,222 @@ class LaurentPoly:
                     c[k] = b
                 else:
                     c.pop(k, None)
-        self.c = c
+        p = _from_terms(c)
+        self.low, self.n, self.bound = p.low, p.n, p.bound
 
-    @classmethod
-    def _make(cls, c: dict[int, int]) -> "LaurentPoly":
-        # trusted constructor: c already canonical (no zero values)
-        p = object.__new__(cls)
-        p.c = c
-        return p
+    @property
+    def c(self) -> dict[int, int]:
+        """The nonzero coefficients by v-exponent (a fresh dict)."""
+        low = self.low
+        return {low + i: a for i, a in enumerate(_digits(self.n)) if a}
 
     def __bool__(self) -> bool:
-        return bool(self.c)
+        return self.n != 0
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self.n == other.n and self.low == other.low
         if isinstance(other, int):
-            return self.c == ({0: other} if other else {})
-        return isinstance(other, LaurentPoly) and self.c == other.c
+            return self.low == 0 and self.n == other and -_HALF < other < _HALF
+        return False
 
     __hash__ = None
 
+    # The three operators below build their result inline rather than by
+    # `_make`: they are the hot path, and a call per result would cost more
+    # than the integer arithmetic.
+
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = const(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self.c)
-        for k, a in other.c.items():
-            b = c.get(k, 0) + a
-            if b:
-                c[k] = b
-            else:
-                del c[k]
-        return LaurentPoly._make(c)
+        bound = self.bound + other.bound
+        if bound >= _HALF:
+            bound = _refit(self, other, "+")
+        low = self.low
+        d = other.low - low  # a zero has low 0, so it takes no shift
+        if d > 0:
+            if not self.n:
+                return other
+            n = self.n + (other.n << (_DIGIT * d))
+        elif d < 0:
+            if not other.n:
+                return self
+            low = other.low
+            n = other.n + (self.n << (-_DIGIT * d))
+        else:
+            n = self.n + other.n
+            if not n & _MASK:  # the lowest digit cancelled
+                return _strip(low, n, bound)
+        p = _new(LaurentPoly)
+        p.low = low
+        p.n = n
+        p.bound = bound
+        return p
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._make({k: -a for k, a in self.c.items()})
+        return _make(self.low, -self.n, self.bound)
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = const(other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self.c)
-        for k, a in other.c.items():
-            b = c.get(k, 0) - a
-            if b:
-                c[k] = b
-            else:
-                del c[k]
-        return LaurentPoly._make(c)
+        bound = self.bound + other.bound
+        if bound >= _HALF:
+            bound = _refit(self, other, "-")
+        low = self.low
+        d = other.low - low
+        if d > 0:
+            if not self.n:
+                return _make(other.low, -other.n, other.bound)
+            n = self.n - (other.n << (_DIGIT * d))
+        elif d < 0:
+            if not other.n:
+                return self
+            low = other.low
+            n = (self.n << (-_DIGIT * d)) - other.n
+        else:
+            n = self.n - other.n
+            if not n & _MASK:
+                return _strip(low, n, bound)
+        p = _new(LaurentPoly)
+        p.low = low
+        p.n = n
+        p.bound = bound
+        return p
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            if not other:
-                return ZERO
-            return LaurentPoly._make({k: a * other for k, a in self.c.items()})
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for k1, a1 in self.c.items():
-            for k2, a2 in other.c.items():
-                k = k1 + k2
-                b = out.get(k, 0) + a1 * a2
-                if b:
-                    out[k] = b
-                else:
-                    del out[k]
-        return LaurentPoly._make(out)
+            if not isinstance(other, int):
+                return NotImplemented
+            other = const(other)
+        n = self.n * other.n
+        if not n:
+            return ZERO
+        bound = self.bound * other.bound
+        if bound >= _HALF:
+            bound = _refit(self, other, "*")
+        # the lowest digit is the product of two nonzero ones: canonical
+        p = _new(LaurentPoly)
+        p.low = self.low + other.low
+        p.n = n
+        p.bound = bound
+        return p
 
     __rmul__ = __mul__
 
     def bar(self) -> "LaurentPoly":
         """The bar involution ``v -> v**-1`` (a ring involution)."""
-        return LaurentPoly._make({-k: a for k, a in self.c.items()})
+        if not self.n:
+            return self
+        digits = _digits(self.n)
+        return _make(1 - self.low - len(digits), _pack(digits[::-1]), self.bound)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``v**k``."""
-        if not k:
+        if not k or not self.n:
             return self
-        return LaurentPoly._make({e + k: a for e, a in self.c.items()})
+        return _make(self.low + k, self.n, self.bound)
 
     def coefficient(self, k: int) -> int:
         """The coefficient of ``v**k``."""
-        return self.c.get(k, 0)
+        i = k - self.low
+        if i < 0:
+            return 0
+        n = self.n
+        if i:  # round, so that the digits below do not borrow
+            n = (n + (_HALF << (_DIGIT * (i - 1)))) >> (_DIGIT * i)
+        return ((n + _HALF) & _MASK) - _HALF
 
     def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.c.values())
+        n = self.n
+        if n < 0:  # the top digit is negative
+            return False
+        return n < _HALF or all(a >= 0 for a in _digits(n))
 
     def min_exp(self) -> int:
-        return min(self.c) if self.c else 0
+        return self.low
 
     def max_exp(self) -> int:
-        return max(self.c) if self.c else 0
+        n = self.n
+        return self.low + (n.bit_length() // _DIGIT) if n else 0
 
     def negative_part(self) -> "LaurentPoly":
         """The terms with strictly negative v-exponent."""
-        return LaurentPoly._make({k: a for k, a in self.c.items() if k < 0})
+        t = -self.low
+        if t <= 0:
+            return ZERO
+        n = self.n
+        # the digits below t are the residue of n mod 2**(64 t) nearest 0
+        half = _HALF << (_DIGIT * (t - 1))
+        low_part = ((n + half) & ((half << 1) - 1)) - half
+        if low_part == n:
+            return self
+        return _make(self.low, low_part, self.bound)
 
     def is_q_poly(self) -> bool:
-        return all(k >= 0 and k % 2 == 0 for k in self.c)
+        low = self.low
+        if low < 0 or low & 1:
+            return False
+        return not any(_digits(self.n)[1::2])
 
     def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        ks = sorted(self.c)
-        qform = ks[0] >= 0 and all(k % 2 == 0 for k in ks)
-        var = "q" if qform else "v"
-        parts: list[str] = []
-        for k in ks:
-            a = self.c[k]
-            e = k // 2 if qform else k
-            mag = abs(a)
-            if e == 0:
-                body = str(mag)
-            else:
-                body = ("" if mag == 1 else str(mag)) + var
-                if e != 1:
-                    body += f"^{e}"
-            if not parts:
-                parts.append(("-" if a < 0 else "") + body)
-            else:
-                parts.append(("-" if a < 0 else "+") + body)
+        n, low = self.n, self.low
+        if -_HALF < n < _HALF:  # one term, or zero
+            if not n:
+                return "0"
+            if low >= 0 and not low & 1:
+                return _term(n, low >> 1, "q", "")
+            return _term(n, low, "v", "")
+        digits = _digits(n)
+        if low >= 0 and not low & 1 and not any(digits[1::2]):
+            var, step, low = "q", 2, low >> 1
+        else:
+            var, step = "v", 1
+        parts = []
+        for i in range(0, len(digits), step):
+            a = digits[i]
+            if a:
+                parts.append(_term(a, low + i // step, var, "+" if parts else ""))
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.c!r})"
 
 
-ZERO = LaurentPoly._make({})
-ONE = LaurentPoly._make({0: 1})
-V = LaurentPoly._make({1: 1})
-Q = LaurentPoly._make({2: 1})
+def _term(a: int, e: int, var: str, plus: str) -> str:
+    """One term ``a var**e``, signed with ``plus`` when ``a`` is positive."""
+    if a < 0:
+        sign, a = "-", -a
+    else:
+        sign = plus
+    if not e:
+        return f"{sign}{a}"
+    body = var if a == 1 else f"{a}{var}"
+    return f"{sign}{body}" if e == 1 else f"{sign}{body}^{e}"
+
+
+ZERO = _make(0, 0, 0)
+ONE = _make(0, 1, 1)
+V = _make(1, 1, 1)
+Q = _make(2, 1, 1)
 
 
 def const(n: int) -> LaurentPoly:
-    return LaurentPoly._make({0: n} if n else {})
+    if not -_HALF < n < _HALF:
+        raise ValueError(f"coefficient {n} is out of range: magnitude 2^63 or more")
+    return _make(0, n, abs(n)) if n else ZERO
 
 
 def v_power(k: int) -> LaurentPoly:
-    return LaurentPoly._make({k: 1})
+    return _make(k, 1, 1)
 
 
 def as_q_poly(p: LaurentPoly) -> LaurentPoly:
@@ -196,7 +357,7 @@ def as_q_poly(p: LaurentPoly) -> LaurentPoly:
 
 def substitute_v_squared(p: LaurentPoly) -> LaurentPoly:
     """Map ``p(v)`` to ``p(v**2)`` by doubling every exponent."""
-    return LaurentPoly._make({2 * k: a for k, a in p.c.items()})
+    return _make(2 * p.low, _pack(_digits(p.n), 2 * _DIGIT), p.bound)
 
 
 def substitute_q_squared(p: LaurentPoly) -> LaurentPoly:
@@ -207,15 +368,16 @@ def substitute_q_squared(p: LaurentPoly) -> LaurentPoly:
 def parity_equal(f: LaurentPoly, g: LaurentPoly) -> bool:
     """Whether ``f - g`` has only even coefficients."""
     d = f - g
-    return all(a % 2 == 0 for a in d.c.values())
+    return not any(a & 1 for a in _digits(d.n))
 
 
 def halve_sum(f: LaurentPoly, g: LaurentPoly, sign: int = 1) -> LaurentPoly:
     """Exactly halve ``f + g`` (``sign=+1``) or ``f - g`` (``sign=-1``)."""
     h = f + g if sign > 0 else f - g
-    if any(a % 2 for a in h.c.values()):
+    if any(a & 1 for a in _digits(h.n)):
         raise ParityError(f"{f} and {g} are not congruent mod 2")
-    return LaurentPoly._make({k: a // 2 for k, a in h.c.items()})
+    # every digit is even, so halving n halves each digit without a borrow
+    return _make(h.low, h.n >> 1, h.bound >> 1)
 
 
 _TERM_RE = re.compile(r"([+-]?)(\d+)?(?:([vq])(?:\^(-?\d+))?)?")
@@ -223,6 +385,7 @@ _TERM_RE = re.compile(r"([+-]?)(\d+)?(?:([vq])(?:\^(-?\d+))?)?")
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the polynomial grammar; inverse of ``str`` on canonical forms.
+    A coefficient of magnitude ``2**63`` or more is a ``ValueError``.
 
     >>> str(parse_poly("1+q^2"))
     '1+q^2'
@@ -257,4 +420,4 @@ def parse_poly(text: str) -> LaurentPoly:
             coeffs.pop(k, None)
         pos = m.end()
         first = False
-    return LaurentPoly._make(coeffs)
+    return _from_terms(coeffs)

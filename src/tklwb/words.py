@@ -309,7 +309,7 @@ def lower_twisted(spec: CoxeterSpec, w: Word) -> tuple[Word, ...]:
 
 def format_word(w: Word) -> str:
     """Render a word as letters, or ``"e"`` for the identity."""
-    return "".join(LETTERS[s] for s in w) or "e"
+    return "".join([LETTERS[s] for s in w]) or "e"  # a list joins faster than a generator
 
 
 def parse_word(text: str, gen_count: int) -> Word:

@@ -175,6 +175,21 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_coefficient_overflow_exits_3(capsys, monkeypatch):
+    from tklwb.laurent import parse_poly
+    import tklwb.cli as cli
+
+    def huge(self, y, w):  # the L1 bound 3 * 2**62 passes 2**63
+        return parse_poly(f"{2**62}q") * parse_poly("2+q")
+
+    monkeypatch.setattr(cli.KLTable, "p", huge)
+    code = main(["--gens", "3", "kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith("tklwb: internal inconsistency: coefficient overflow")
+    assert out.err.count("\n") == 1
+
+
 def test_gen_count_cap(capsys):
     code, _ = run(capsys, "--gens", "27", "--star", "id", "kl", "e", "a")
     assert code == 2
@@ -365,6 +380,18 @@ def test_poisoned_cache_is_discarded(tmp_path, capsys):
     saved = cache.read_text()
     assert "7+q^9" not in saved
     assert "P\te\tabcba\t1+q" in saved.splitlines()
+
+
+def test_cache_coefficient_past_the_range_is_discarded(tmp_path, capsys):
+    # 2**64 passes every rule of row_fault, but no exact value can hold it
+    cache = tmp_path / "cache.tsv"
+    cache.write_text(f"tklwb-cache v1 gens=3 star=id\nP\te\tabcba\t1+{2**64}q\n")
+    code = main(["--gens", "3", "--star", "id", "--cache", str(cache), "kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (0, "1+q\n")
+    assert out.err.startswith(f"tklwb: warning: ignoring cache {cache}: bad line")
+    assert out.err.count("\n") == 1
+    assert "P\te\tabcba\t1+q" in cache.read_text().splitlines()
 
 
 def test_cache_rows_must_be_solver_valid(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Exact Laurent polynomial arithmetic against a dense reference."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tklwb import hecke
 from tklwb.laurent import (
+    InternalInconsistencyError,
     LaurentPoly,
     ONE,
     ParityError,
@@ -184,3 +186,99 @@ def test_canonical_form_drops_zeros():
     p = LaurentPoly({3: 2, 1: 0, -2: -2})
     assert set(p.c) == {3, -2}
     assert LaurentPoly([(1, 2), (1, -2)]) == ZERO
+
+
+# -- the packed form ------------------------------------------------------------
+# A value is (low, n): v**low times the integer n read as signed 64-bit digits.
+
+FITS = 2**63 - 1  # the largest coefficient magnitude
+
+wide_terms = st.dictionaries(
+    st.integers(-6, 6),
+    st.one_of(st.integers(-9, 9), st.integers(-FITS, FITS)).filter(bool),
+    max_size=5,
+)
+
+
+@settings(derandomize=True)
+@given(wide_terms)
+def test_packed_leaves_read_the_terms(terms):
+    p = LaurentPoly(terms)
+    assert p.c == terms
+    for k in range(-8, 9):
+        assert p.coefficient(k) == terms.get(k, 0)
+    assert p.min_exp() == min(terms, default=0)
+    assert p.max_exp() == max(terms, default=0)
+    assert p.negative_part().c == {k: a for k, a in terms.items() if k < 0}
+    assert p.bar().c == {-k: a for k, a in terms.items()}
+    assert p.is_nonnegative() == all(a >= 0 for a in terms.values())
+    assert p.is_q_poly() == all(k >= 0 and k % 2 == 0 for k in terms)
+    assert parse_poly(str(p)) == p
+
+
+def test_digits_that_change_sign():
+    p = V - ONE
+    assert (p.low, p.n) == (0, 2**64 - 1)  # the digit -1 borrows from the digit 1
+    assert (p.coefficient(0), p.coefficient(1), p.coefficient(2)) == (-1, 1, 0)
+    assert p.max_exp() == 1
+    assert p.bar() == v_power(-1) - ONE
+    assert p.shift(-1).negative_part() == -v_power(-1)
+    assert not p.is_nonnegative()
+    edge = LaurentPoly({0: -FITS, 1: FITS, 3: -FITS})
+    assert [edge.coefficient(k) for k in range(5)] == [-FITS, FITS, 0, -FITS, 0]
+    assert edge.bar().c == {0: -FITS, -1: FITS, -3: -FITS}
+    assert str(edge) == f"-{FITS}+{FITS}v-{FITS}v^3"
+
+
+def test_cancellation_strips_zero_low_digits():
+    p = (ONE + V) + (Q - ONE)
+    assert (p.low, p.n) == (1, 1 + 2**64)
+    assert p == V + Q
+    r = (V - Q) + (Q - V)
+    assert (r.low, r.n) == (0, 0) and r == ZERO == 0
+    s = v_power(-3) + ONE - v_power(-3)
+    assert (s.low, s.n) == (ONE.low, ONE.n)
+
+
+@settings(derandomize=True)
+@given(wide_terms, polys)
+def test_equality_is_structural(terms, r):
+    p = LaurentPoly(terms)
+    back = (p + r) - r
+    assert (back.low, back.n) == (p.low, p.n)
+    assert (p - p) == ZERO and (p - p).low == 0
+
+
+def test_coefficients_past_the_range_are_rejected():
+    for bad in (2**63, -(2**63), 2**64):
+        with pytest.raises(ValueError):
+            LaurentPoly({1: bad})
+        with pytest.raises(ValueError):
+            parse_poly(f"1+{bad}q")
+    assert parse_poly(f"-{FITS}v").coefficient(1) == -FITS
+    assert LaurentPoly([(0, 2**63), (0, -1)]) == const(FITS)
+
+
+def test_a_product_past_the_range_raises():
+    assert hecke.InternalInconsistencyError is InternalInconsistencyError
+    p = LaurentPoly({0: 2**32, 1: 2**32})  # L1 2**33, so p * p has L1 2**66
+    with pytest.raises(InternalInconsistencyError):
+        p * p
+    with pytest.raises(InternalInconsistencyError):
+        const(FITS) + ONE
+    with pytest.raises(InternalInconsistencyError):
+        const(-FITS) - ONE
+
+
+def test_a_stale_bound_never_rejects_a_value_that_fits():
+    big = const(2**61) * V
+    acc = ONE
+    for _ in range(40):  # the bound grows by 2**62 a step; the value stays 1
+        acc = acc + big - big
+    assert acc == ONE
+    assert acc.bound < 2**63
+    t = ONE
+    for _ in range(25):  # the bound triples a step, to 3**25 > 2**39
+        t = t + t - t
+    assert t == ONE and t.bound == 3**25
+    assert t * t == ONE  # the product's bound 3**50 passes 2**63; the norms are 1
