@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import TextIO
 
 from .hecke import InternalInconsistencyError, KLTable, kl_product, row_fault
@@ -179,13 +180,28 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
     ttable.seed(ps_entries)
 
 
+def poly_rows(tag: str, rows, names: dict[Word, str]):
+    """The tab-separated cache rows ``tag y w poly`` of ``rows``, triples
+    ``(y, w, poly)`` grouped by ``w``.  ``names`` holds the text of every
+    word; the text around ``w`` is built once per group, and the text of
+    each distinct value once, keyed by its canonical ``(low, n)``."""
+    texts: dict[tuple[int, int], str] = {}
+    last = mid = None
+    for y, w, f in rows:
+        if w is not last:
+            last, mid = w, f"\t{names[w]}\t"
+        text = texts.get((f.low, f.n)) or texts.setdefault((f.low, f.n), str(f))
+        yield f"{tag}\t{names[y]}{mid}{text}"
+
+
 def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> None:
     """Write the cache to a temporary file beside ``path``, then move it over
     ``path``: a write that fails leaves the old cache as it was."""
     lines = [cache_header(spec)]
     for tag, snap in (("P", table.snapshot()), ("Psig", ttable.snapshot())):
-        for (y, w) in sorted(snap, key=lambda k: (word_key(k[1]), word_key(k[0]))):
-            lines.append(f"{tag}\t{format_word(y)}\t{format_word(w)}\t{snap[(y, w)]}")
+        keys = sorted(snap, key=lambda k: (word_key(k[1]), word_key(k[0])))
+        names = {u: format_word(u) for pair in keys for u in pair}
+        lines.extend(poly_rows(tag, ((y, w, snap[y, w]) for y, w in keys), names))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -203,10 +219,8 @@ def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
 
 def _emit_poly(args, out: TextIO, y: Word, w: Word, poly: LaurentPoly) -> None:
     if args.format == "json":
-        print(
-            json.dumps({"y": format_word(y), "w": format_word(w), "poly": str(poly)}),
-            file=out,
-        )
+        row = {"y": format_word(y), "w": format_word(w), "poly": str(poly)}
+        print(json.dumps(row), file=out)
     elif args.format == "tsv":
         print(f"{format_word(y)}\t{format_word(w)}\t{poly}", file=out)
     else:
@@ -216,12 +230,8 @@ def _emit_poly(args, out: TextIO, y: Word, w: Word, poly: LaurentPoly) -> None:
 def _emit_terms(args, out: TextIO, basis: str, terms: dict[Word, LaurentPoly]) -> None:
     order = sorted(terms, key=lambda u: (-len(u), u))
     if args.format == "json":
-        print(
-            json.dumps(
-                {"basis": basis, "terms": [[format_word(z), str(terms[z])] for z in order]}
-            ),
-            file=out,
-        )
+        pairs = [[format_word(z), str(terms[z])] for z in order]
+        print(json.dumps({"basis": basis, "terms": pairs}), file=out)
     else:
         for z in order:
             print(f"{format_word(z)}\t{terms[z]}", file=out)
@@ -249,17 +259,8 @@ def _cmd_pm(args, spec, table, ttable, out) -> int:
     w = check_twisted_involution(spec, parse_word(args.w, spec.gen_count))
     pm = kl_halves(table, ttable, y, w, oracle=False)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "y": format_word(y),
-                    "w": format_word(w),
-                    "plus": str(pm.plus),
-                    "minus": str(pm.minus),
-                }
-            ),
-            file=out,
-        )
+        halves = {"plus": str(pm.plus), "minus": str(pm.minus)}
+        print(json.dumps({"y": format_word(y), "w": format_word(w), **halves}), file=out)
     elif args.format == "tsv":
         print(f"plus\t{pm.plus}", file=out)
         print(f"minus\t{pm.minus}", file=out)
@@ -290,22 +291,14 @@ def _cmd_mult(args, spec, table, ttable, out) -> int:
 
 def _cmd_enum(args, spec, table, ttable, out) -> int:
     rows = [
-        (format_word(w), rho(spec, w), len(w), ell_star(spec, w))
+        {"w": format_word(w), "rho": rho(spec, w), "ell": len(w), "ell_star": ell_star(spec, w)}
         for w in enumerate_twisted_involutions(spec, args.max_rho, args.cap)
     ]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"w": w, "rho": r, "ell": l, "ell_star": ls}
-                    for w, r, l, ls in rows
-                ]
-            ),
-            file=out,
-        )
+        print(json.dumps(rows), file=out)
     else:
-        for w, r, l, ls in rows:
-            print(f"{w}\t{r}\t{l}\t{ls}", file=out)
+        for row in rows:
+            print("\t".join(map(str, row.values())), file=out)
     return 0
 
 
@@ -322,26 +315,24 @@ def _cmd_dump(args, spec, table, ttable, out) -> int:
     lines = [cache_header(spec)]
     words = enumerate_words(spec.gen_count, args.max_ell, args.cap)
     invs = enumerate_twisted_involutions(spec, args.max_rho, args.cap)
-    for w in words:
-        for y in table.interval(w):
-            lines.append(f"P\t{format_word(y)}\t{format_word(w)}\t{table.p(y, w)}")
-    for w in invs:
-        for y in ttable.interval(w):
-            lines.append(f"Psig\t{format_word(y)}\t{format_word(w)}\t{ttable.p(y, w)}")
-    for x in words:
-        for y in words:
-            prod = kl_product(x, y)
-            for z in sorted(prod, key=word_key):
-                lines.append(
-                    f"h\t{format_word(x)}\t{format_word(y)}\t{format_word(z)}\t{prod[z]}"
-                )
-    for x in words:
-        for y in invs:
-            prod = twisted_product(spec, x, y)
-            for z in sorted(prod, key=word_key):
-                lines.append(
-                    f"hsig\t{format_word(x)}\t{format_word(y)}\t{format_word(z)}\t{prod[z]}"
-                )
+    names = {w: format_word(w) for w in (*words, *invs)}
+    for tag, tab, ws in (("P", table, words), ("Psig", ttable, invs)):
+        rows = ((y, w, tab.p(y, w)) for w in ws for y in tab.interval(w))
+        lines.extend(poly_rows(tag, rows, names))
+    # a product word outside ``names`` is formatted on its row and not kept:
+    # keeping them all would cost more memory than it saves time
+    texts: dict[tuple[int, int], str] = {}
+    products = (("h", words, kl_product), ("hsig", invs, partial(twisted_product, spec)))
+    for tag, ys, product in products:
+        for x in words:
+            head = f"{tag}\t{names[x]}\t"
+            for y in ys:
+                prod = product(x, y)
+                row = f"{head}{names[y]}\t"
+                for z in sorted(prod, key=word_key) if len(prod) > 1 else prod:
+                    f = prod[z]
+                    text = texts.get((f.low, f.n)) or texts.setdefault((f.low, f.n), str(f))
+                    lines.append(f"{row}{names.get(z) or format_word(z)}\t{text}")
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -385,7 +385,8 @@ def kl_product(x: Word, y: Word) -> dict[Word, LaurentPoly]:
     out = {base: factor}
     for j in js:
         for z in kl_correction(base, j):
-            out[z] = out.get(z, ZERO) + factor
+            got = out.get(z)
+            out[z] = factor if got is None else got + factor
     return out
 
 

@@ -14,9 +14,10 @@ Coefficients must have magnitude below ``2**63``.  The constructor and
 `parse_poly` reject a larger one with ``ValueError``; arithmetic carries an
 upper bound on each value's L1 norm (a sum adds the bounds, a product
 multiplies them), and before a result whose bound reaches ``2**63`` it
-recomputes the operands' exact norms and, if those still do not fit, raises
-`InternalInconsistencyError` rather than let a digit overflow.  No wrong
-value ever comes out silently.
+recomputes the operands' exact norms and, if those still do not fit, the
+result's exact coefficients; only when one of those does not fit does it
+raise `InternalInconsistencyError` rather than let a digit overflow.  No
+wrong value ever comes out silently.
 
 The text grammar is ``term (("+"|"-") term)*`` with
 ``term = [coeff]["v"|"q"]["^" int]`` and ``"0"`` for zero.  Terms are
@@ -99,14 +100,23 @@ def _strip(low: int, n: int, bound: int) -> "LaurentPoly":
 
 def _refit(p: "LaurentPoly", r: "LaurentPoly", op: str) -> int:
     """The bound of ``p op r`` from the operands' exact L1 norms, which also
-    replace their stale bounds; raise if even that does not fit."""
+    replace their stale bounds.  If even that reaches ``2**63``, the result's
+    own coefficients decide: only one of magnitude ``2**63`` or more raises,
+    and the result's exact L1 norm is its bound."""
     p.bound = sum(map(abs, _digits(p.n)))
     r.bound = sum(map(abs, _digits(r.n)))
     bound = p.bound * r.bound if op == "*" else p.bound + r.bound
     if bound >= _HALF:
-        raise InternalInconsistencyError(
-            f"coefficient overflow: ({p}) {op} ({r}) may reach 2^63 (L1 bound {bound})"
-        )
+        if op == "*":
+            pairs = [(i + j, a * b) for i, a in p.c.items() for j, b in r.c.items()]
+        else:
+            sign = -1 if op == "-" else 1
+            pairs = [*p.c.items(), *((k, sign * b) for k, b in r.c.items())]
+        try:
+            bound = LaurentPoly(pairs).bound
+        except ValueError:
+            msg = f"coefficient overflow: ({p}) {op} ({r}) reaches 2^63"
+            raise InternalInconsistencyError(msg) from None
     return bound
 
 
@@ -116,17 +126,12 @@ class LaurentPoly:
 
     __slots__ = ("low", "n", "bound")
 
-    def __init__(self, coeffs=None):
+    def __init__(self, coeffs=()):
+        """From a dict or ``(exponent, coefficient)`` pairs; repeats add up."""
         c: dict[int, int] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for k, a in items:
-                b = c.get(k, 0) + a
-                if b:
-                    c[k] = b
-                else:
-                    c.pop(k, None)
-        p = _from_terms(c)
+        for k, a in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
+            c[k] = c.get(k, 0) + a
+        p = _from_terms({k: a for k, a in c.items() if a})
         self.low, self.n, self.bound = p.low, p.n, p.bound
 
     @property
@@ -395,7 +400,7 @@ def parse_poly(text: str) -> LaurentPoly:
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial literal")
-    coeffs: dict[int, int] = {}
+    terms = []
     pos = 0
     first = True
     while pos < len(s):
@@ -413,11 +418,7 @@ def parse_poly(text: str) -> LaurentPoly:
         else:
             e = int(exp) if exp is not None else 1
             k = 2 * e if var == "q" else e
-        b = coeffs.get(k, 0) + a
-        if b:
-            coeffs[k] = b
-        else:
-            coeffs.pop(k, None)
+        terms.append((k, a))
         pos = m.end()
         first = False
-    return _from_terms(coeffs)
+    return LaurentPoly(terms)

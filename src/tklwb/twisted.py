@@ -24,9 +24,11 @@ as a checked identity, never as a computation path (see `positivity`).
 ``C_x A_y`` in the distinguished basis has a closed combinatorial expansion
 (`twisted_product`, with the correction terms of `twisted_correction`),
 cross-checkable against the standard-basis action route
-(`twisted_product_direct`).  At ``x = s`` it is the closed form of
-``C_s A_w``, which the top-coefficient data ``mu``/``nu``/``mu_s`` also
-expands (`cs_action`).
+(`twisted_product_direct`).  It checks once that ``y`` is a twisted
+involution; every word it reaches from ``y`` by `twist` is one too, so
+neither the twists nor the corrections check again.  At ``x = s`` it is
+the closed form of ``C_s A_w``, which the top-coefficient data
+``mu``/``nu``/``mu_s`` also expands (`cs_action`).
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from .hecke import (
     bar_t,
     expand_triangular,
 )
-from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_v_squared, v_power
+from .laurent import LaurentPoly, ONE, Q, const, substitute_v_squared, v_power
 from .words import (
     CoxeterSpec,
     IDENTITY,
     Word,
+    _fold,
     bruhat_leq,
     bruhat_leq_twisted,
     check_twisted_involution,
@@ -56,8 +59,6 @@ from .words import (
     lower_twisted,
     multiply,
     twist,
-    twist_expression,
-    twist_word,
 )
 
 _Q2 = v_power(4)
@@ -244,19 +245,22 @@ def twisted_correction(spec: CoxeterSpec, w: Word, j: int) -> Elt:
     The analogue of `hecke.kl_correction` over twist expressions, with one
     extra case: at ``j`` equal to the rank, when the last two expression
     letters are both star-fixed, the last letter may be dropped.  Each step
-    shortens the expression, so every coefficient is 1.
+    shortens the expression, so every coefficient is 1, and keeps it
+    reduced, so `_fold` gives its word.  ``w`` must be a twisted involution
+    (as for `twist`, nothing checks it).
     """
+    star = spec.star
     out: Elt = {}
-    expr = twist_expression(spec, w)
+    expr = w[: (len(w) + 1) // 2]  # the twist expression
     while True:
         n = len(expr)
         if 2 <= j <= n - 1 and expr[j - 2] == expr[j]:
             expr = expr[: j - 1] + expr[j + 1 :]
-        elif j == n >= 2 and all(spec.star[t] == t for t in expr[-2:]):
+        elif j == n >= 2 and star[expr[-1]] == expr[-1] and star[expr[-2]] == expr[-2]:
             expr = expr[:-1]
         else:
             return out
-        out[twist_word(spec, expr, IDENTITY)] = ONE
+        out[_fold(spec, expr)] = ONE
         j -= 1
 
 
@@ -272,15 +276,19 @@ def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
     check_twisted_involution(spec, y)
     n = len(x)
     if x and not y and spec.star[x[-1]] == x[-1]:
-        base, factor, js = twist_word(spec, x, IDENTITY), V_PLUS_VINV, (n,)
+        letters, factor, js = x, V_PLUS_VINV, (n,)
     elif x and y and x[-1] == y[0]:
-        base, factor, js = twist_word(spec, x[:-1], y), Q_PLUS_QINV, (n,)
+        letters, factor, js = x[:-1], Q_PLUS_QINV, (n,)
     else:
-        base, factor, js = twist_word(spec, x, y), ONE, (n, n + 1)
+        letters, factor, js = x, ONE, (n, n + 1)
+    base = y
+    for s in reversed(letters):
+        base = twist(spec, s, base)
     out = {base: factor}
     for j in js:
         for z in twisted_correction(spec, base, j):
-            out[z] = out.get(z, ZERO) + factor
+            got = out.get(z)
+            out[z] = factor if got is None else got + factor
     return out
 
 

@@ -1,8 +1,19 @@
 """Operations only the test suite uses: the bar involutions on whole
-elements, the dagger anti-automorphism, the direct triple product and the
-difference recurrences of the twisted polynomials."""
+elements, the dagger anti-automorphism, the direct triple product, the
+difference recurrences of the twisted polynomials, and step-by-step
+references for the closed-form products."""
 
-from tklwb.hecke import Elt, KLTable, add_scaled, bar_t, expand_triangular, mul
+from tklwb.hecke import (
+    Elt,
+    KLTable,
+    Q_PLUS_QINV,
+    V_PLUS_VINV,
+    add_scaled,
+    bar_t,
+    expand_triangular,
+    kl_correction,
+    mul,
+)
 from tklwb.laurent import LaurentPoly, ONE, ZERO, v_power
 from tklwb.twisted import TwistedKLTable, bar_basis
 from tklwb.words import (
@@ -11,6 +22,7 @@ from tklwb.words import (
     Word,
     bruhat_leq_twisted,
     dagger,
+    multiply,
     twist,
     twist_expression,
     twist_word,
@@ -123,3 +135,55 @@ def alternating_twist(spec: CoxeterSpec, i: int, k: int, r: int, s: int) -> Word
     when ``k - i`` is even and in ``r`` otherwise."""
     last, other = (s, r) if (k - i) % 2 == 0 else (r, s)
     return twist_word(spec, alternating(i, last, other), IDENTITY)
+
+
+# -- step-by-step references for the closed-form products: every twist and
+# every correction word goes through the checked `twist_word`, and every
+# entry is summed from ZERO.
+
+
+def kl_product_reference(x: Word, y: Word) -> dict[Word, LaurentPoly]:
+    """`hecke.kl_product`, one step at a time."""
+    n = len(x)
+    if x and y and x[-1] == y[0]:
+        base, factor, js = multiply(x[:-1], y), V_PLUS_VINV, (n,)
+    else:
+        base, factor, js = multiply(x, y), ONE, (n, n + 1)
+    out = {base: factor}
+    for j in js:
+        for z in kl_correction(base, j):
+            out[z] = out.get(z, ZERO) + factor
+    return out
+
+
+def twisted_correction_reference(spec: CoxeterSpec, w: Word, j: int) -> Elt:
+    """`twisted.twisted_correction` with the checked twist expression and
+    each correction word rebuilt by `twist_word`."""
+    out: Elt = {}
+    expr = twist_expression(spec, w)
+    while True:
+        n = len(expr)
+        if 2 <= j <= n - 1 and expr[j - 2] == expr[j]:
+            expr = expr[: j - 1] + expr[j + 1 :]
+        elif j == n >= 2 and all(spec.star[t] == t for t in expr[-2:]):
+            expr = expr[:-1]
+        else:
+            return out
+        out[twist_word(spec, expr, IDENTITY)] = ONE
+        j -= 1
+
+
+def twisted_product_reference(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
+    """`twisted.twisted_product`, one checked step at a time."""
+    n = len(x)
+    if x and not y and spec.star[x[-1]] == x[-1]:
+        base, factor, js = twist_word(spec, x, IDENTITY), V_PLUS_VINV, (n,)
+    elif x and y and x[-1] == y[0]:
+        base, factor, js = twist_word(spec, x[:-1], y), Q_PLUS_QINV, (n,)
+    else:
+        base, factor, js = twist_word(spec, x, y), ONE, (n, n + 1)
+    out = {base: factor}
+    for j in js:
+        for z in twisted_correction_reference(spec, base, j):
+            out[z] = out.get(z, ZERO) + factor
+    return out

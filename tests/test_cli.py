@@ -456,3 +456,43 @@ def test_verify_jobs_flag(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     del r1["elapsed_ms"], r2["elapsed_ms"]
     assert r1 == r2
+
+
+def test_saved_cache_bytes_are_pinned(tmp_path, capsys):
+    """`save_cache` writes its rows through the writer `dump` uses; these
+    bytes pin the cache format."""
+    cache = tmp_path / "cache.tsv"
+    args = ["--gens", "3", "--star", "(a b)", "--cache", str(cache)]
+    assert main(args + ["kl", "e", "abcba"]) == 0
+    assert main(args + ["tkl", "e", "bcabca"]) == 0  # a rank-3 twisted involution
+    assert capsys.readouterr().out == "1+q\n1+q\n"
+    assert cache.read_bytes() == (
+        b"tklwb-cache v1 gens=3 star=(a b)\n"
+        b"P\te\tcba\t1\n"
+        b"P\te\tbcba\t1\n"
+        b"P\ta\tbcba\t1\n"
+        b"P\te\tabcba\t1+q\n"
+        b"Psig\te\tcabc\t1+q\n"
+        b"Psig\te\tbcabca\t1+q\n"
+    )
+
+
+def test_dump_round_trip(tmp_path, capsys):
+    system = ["--gens", "3", "--star", "(a b)"]
+    dump = system + ["dump", "--max-rho", "3", "--max-ell", "3"]
+    path = tmp_path / "tables.tsv"
+    assert main(dump) == 0
+    stdout = capsys.readouterr().out
+    assert main(dump + ["--out", str(path)]) == 0
+    assert path.read_bytes() == stdout.encode()
+    queries = [
+        ("kl", "e", "abcba"), ("kl", "b", "cabc"), ("kl", "a", "abc"),
+        ("tkl", "e", "bcabca"), ("tkl", "e", "cabc"), ("tkl", "ab", "bcabca"),
+    ]
+    for query in queries:
+        assert main(system + list(query)) == 0
+        fresh = capsys.readouterr().out
+        cache = tmp_path / "cache.tsv"
+        cache.write_bytes(path.read_bytes())
+        assert main(system + ["--cache", str(cache)] + list(query)) == 0
+        assert capsys.readouterr() == (fresh, "")

@@ -2,13 +2,24 @@
 past the bounds of the ``structure-theorems`` sweep (ell <= 4, rho <= 3 at
 3 generators): words of length 3-5 on the left, words of length 3-5 or
 twisted involutions of rank 3-5 on the right, 2-5 generators and any
-diagram involution."""
+diagram involution.  Also against their step-by-step references in
+``helpers`` (operands of length or rank 0-5), and the one check of
+``twisted_product`` on its right operand."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import kl_product_reference, twisted_product_reference
+from tklwb.cli import main
 from tklwb.hecke import KLTable, kl_product, kl_product_direct
 from tklwb.twisted import TwistedKLTable, twisted_product, twisted_product_direct
-from tklwb.words import IDENTITY, CoxeterSpec, twist_word
+from tklwb.words import (
+    IDENTITY,
+    CoxeterSpec,
+    NotTwistedInvolution,
+    is_twisted_involution,
+    twist_word,
+)
 
 
 @st.composite
@@ -24,10 +35,10 @@ def specs(draw):
 
 
 @st.composite
-def reduced_words(draw, gens):
-    """A reduced word of length 3-5: no letter repeats its neighbour."""
+def reduced_words(draw, gens, shortest=3):
+    """A reduced word of length ``shortest``-5: no letter repeats its neighbour."""
     word = []
-    for _ in range(draw(st.integers(3, 5))):
+    for _ in range(draw(st.integers(shortest, 5))):
         s = draw(st.integers(0, gens - 1))
         if word and s == word[-1]:
             s = (s + 1) % gens
@@ -56,3 +67,33 @@ def test_twisted_product_matches_direct_route(data):
     y = twist_word(spec, data.draw(reduced_words(spec.gen_count)), IDENTITY)
     got = twisted_product(spec, x, y)
     assert got == twisted_product_direct(spec, KLTable(), TwistedKLTable(spec), x, y)
+
+
+@_SETTINGS
+@given(st.data())
+def test_products_match_step_by_step_references(data):
+    spec = data.draw(specs())
+    x = data.draw(reduced_words(spec.gen_count, 0))
+    u = data.draw(reduced_words(spec.gen_count, 0))
+    # the fold of a reduced word of length 0-5 is a twisted involution of rank 0-5
+    y = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0)), IDENTITY)
+    assert kl_product(x, u) == kl_product_reference(x, u)
+    assert twisted_product(spec, x, y) == twisted_product_reference(spec, x, y)
+
+
+@_SETTINGS
+@given(st.data())
+def test_twisted_product_checks_its_right_operand(data):
+    spec = data.draw(specs())
+    x = data.draw(reduced_words(spec.gen_count, 0))
+    y = data.draw(reduced_words(spec.gen_count, 1))
+    if is_twisted_involution(spec, y):
+        assert twisted_product(spec, x, y) == twisted_product_reference(spec, x, y)
+    else:
+        with pytest.raises(NotTwistedInvolution):
+            twisted_product(spec, x, y)
+
+
+def test_structure_of_a_non_involution_is_a_usage_error(capsys):
+    assert main(["--gens", "3", "structure", "a", "ab"]) == 2
+    assert capsys.readouterr().err == "tklwb: ab does not satisfy w^-1 == w*\n"

@@ -270,6 +270,13 @@ def test_a_product_past_the_range_raises():
         const(-FITS) - ONE
 
 
+def test_a_result_that_fits_is_never_rejected():
+    half = const(2**62)
+    assert half - half == ZERO  # the operands' norms sum to 2**63
+    assert (const(FITS) + V).c == {0: FITS, 1: 1}
+    assert (half * (ONE + V)).c == {0: 2**62, 1: 2**62}
+
+
 def test_a_stale_bound_never_rejects_a_value_that_fits():
     big = const(2**61) * V
     acc = ONE

@@ -276,6 +276,10 @@ def test_word_literals():
         parse_word("", 3)
     for word in enumerate_words(3, 4):
         assert parse_word(format_word(word), 3) == word
+    assert format_word(tuple(range(26))) == "abcdefghijklmnopqrstuvwxyz"
+    for bad in ((26,), (0, -1), (300,)):  # no generator has a letter
+        with pytest.raises(ValueError):
+            format_word(bad)
 
 
 def test_star_literals():
