@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import chain, islice
 from typing import TextIO
 
 from .hecke import InternalInconsistencyError, KLTable, kl_product, row_fault
@@ -31,6 +32,8 @@ from .words import (
     CoxeterSpec,
     GeneratorError,
     Word,
+    bruhat_leq,
+    bruhat_leq_twisted,
     check_twisted_involution,
     ell_star,
     enumerate_twisted_involutions,
@@ -132,31 +135,31 @@ def cache_header(spec: CoxeterSpec) -> str:
     return f"{CACHE_MAGIC} gens={spec.gen_count} star={format_star(spec.star)}"
 
 
-def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> None:
-    """Seed the tables from a cache file.  A file with a header mismatch is
-    ignored, and so, with a warning, is one with a row that does not parse,
-    whose ``y`` is not below ``w``, or that breaks a rule of `hecke.row_fault`."""
+def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> list[str]:
+    """Seed the tables from a cache file; return its ``h``/``hsig`` lines.  A
+    file with a header mismatch is ignored, and so, with a warning, is one
+    with a row that does not parse, whose ``y`` is not below ``w`` (in
+    `bruhat_leq_twisted` for ``Psig``), or that breaks a rule of `hecke.row_fault`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except FileNotFoundError as exc:
         if os.path.isdir(os.path.dirname(path) or "."):
-            return
+            return []
         raise _file_error("write cache", path, exc) from exc  # before any work
     except UnicodeDecodeError:
         print(f"tklwb: warning: ignoring cache {path}: not UTF-8 text", file=sys.stderr)
-        return
+        return []
     except OSError as exc:
         raise _file_error("read cache", path, exc) from exc
     if not lines or lines[0] != cache_header(spec):
-        return
-    p_entries: dict[tuple[Word, Word], LaurentPoly] = {}
-    ps_entries: dict[tuple[Word, Word], LaurentPoly] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
+        return []
+    entries: dict[str, dict[tuple[Word, Word], LaurentPoly]] = {"P": {}, "Psig": {}}
+    kept: list[str] = []
+    for line in filter(None, lines[1:]):
         fields = line.split("\t")
         if fields[0] in ("h", "hsig"):
+            kept.append(line)  # unread
             continue
         try:
             if len(fields) != 4 or fields[0] not in ("P", "Psig"):
@@ -164,54 +167,61 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
             y = parse_word(fields[1], spec.gen_count)
             w = parse_word(fields[2], spec.gen_count)
             poly = parse_poly(fields[3])
-            if not {"P": table, "Psig": ttable}[fields[0]].leq(y, w):
+            if not (bruhat_leq(y, w) if fields[0] == "P" else bruhat_leq_twisted(spec, y, w)):
                 raise ValueError("y is not below w")
             fault = row_fault(y, w, poly)
             if fault:
                 raise ValueError(f"the value {fault}")
         except ValueError as exc:
-            print(
-                f"tklwb: warning: ignoring cache {path}: bad line {line!r}: {exc}",
-                file=sys.stderr,
-            )
-            return
-        (p_entries if fields[0] == "P" else ps_entries)[(y, w)] = poly
-    table.seed(p_entries)
-    ttable.seed(ps_entries)
+            warning = f"ignoring cache {path}: bad line {line!r}: {exc}"
+            print(f"tklwb: warning: {warning}", file=sys.stderr)
+            return []
+        entries[fields[0]][(y, w)] = poly
+    table.seed(entries["P"])
+    ttable.seed(entries["Psig"])
+    return kept
 
 
-def poly_rows(tag: str, rows, names: dict[Word, str]):
-    """The tab-separated cache rows ``tag y w poly`` of ``rows``, triples
-    ``(y, w, poly)`` grouped by ``w``.  ``names`` holds the text of every
-    word; the text around ``w`` is built once per group, and the text of
-    each distinct value once, keyed by its canonical ``(low, n)``."""
+def poly_rows(tag: str, pairs):
+    """The tab-separated rows ``tag key text`` of ``(key, poly)`` pairs; the
+    text of each distinct value is built once, keyed by its ``(low, n)``."""
     texts: dict[tuple[int, int], str] = {}
-    last = mid = None
-    for y, w, f in rows:
-        if w is not last:
-            last, mid = w, f"\t{names[w]}\t"
+    for key, f in pairs:
         text = texts.get((f.low, f.n)) or texts.setdefault((f.low, f.n), str(f))
-        yield f"{tag}\t{names[y]}{mid}{text}"
+        yield f"{tag}\t{key}\t{text}"
 
 
-def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> None:
-    """Write the cache to a temporary file beside ``path``, then move it over
-    ``path``: a write that fails leaves the old cache as it was."""
-    lines = [cache_header(spec)]
-    for tag, snap in (("P", table.snapshot()), ("Psig", ttable.snapshot())):
-        keys = sorted(snap, key=lambda k: (word_key(k[1]), word_key(k[0])))
-        names = {u: format_word(u) for pair in keys for u in pair}
-        lines.extend(poly_rows(tag, ((y, w, snap[y, w]) for y, w in keys), names))
+def write_lines(lines, out: TextIO) -> None:
+    """Write the iterator ``lines`` to ``out``, a few thousand to each ``write``."""
+    while chunk := list(islice(lines, 4096)):
+        out.write("\n".join(chunk) + "\n")
+
+
+def save_lines(path: str, action: str, lines) -> None:
+    """Stream ``lines`` into a temporary file beside ``path``, then move it
+    over ``path``.  The file is opened before the first line is made, and a
+    run that fails leaves the old file as it was and no temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            write_lines(lines, fh)
         os.replace(tmp, path)
     except OSError as exc:
-        raise _file_error("write cache", path, exc) from exc
+        raise _file_error(action, path, exc) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable, kept) -> None:
+    """Save the memo rows, then the lines ``kept`` from `load_cache`."""
+
+    def pairs(snap):
+        for y, w in sorted(snap, key=lambda k: (word_key(k[1]), word_key(k[0]))):
+            yield f"{format_word(y)}\t{format_word(w)}", snap[y, w]
+
+    sections = poly_rows("P", pairs(table.snapshot())), poly_rows("Psig", pairs(ttable.snapshot()))
+    save_lines(path, "write cache", chain([cache_header(spec)], *sections, kept))
 
 
 # -- output helpers ---------------------------------------------------------
@@ -310,38 +320,29 @@ def _cmd_verify(args, spec, table, ttable, out) -> int:
 
 
 def _cmd_dump(args, spec, table, ttable, out) -> int:
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):  # fail before the work
-        raise ValueError(f"cannot write {args.out}: No such file or directory")
-    lines = [cache_header(spec)]
-    words = enumerate_words(spec.gen_count, args.max_ell, args.cap)
-    invs = enumerate_twisted_involutions(spec, args.max_rho, args.cap)
-    names = {w: format_word(w) for w in (*words, *invs)}
-    for tag, tab, ws in (("P", table, words), ("Psig", ttable, invs)):
-        rows = ((y, w, tab.p(y, w)) for w in ws for y in tab.interval(w))
-        lines.extend(poly_rows(tag, rows, names))
-    # a product word outside ``names`` is formatted on its row and not kept:
-    # keeping them all would cost more memory than it saves time
-    texts: dict[tuple[int, int], str] = {}
-    products = (("h", words, kl_product), ("hsig", invs, partial(twisted_product, spec)))
-    for tag, ys, product in products:
-        for x in words:
-            head = f"{tag}\t{names[x]}\t"
-            for y in ys:
-                prod = product(x, y)
-                row = f"{head}{names[y]}\t"
-                for z in sorted(prod, key=word_key) if len(prod) > 1 else prod:
-                    f = prod[z]
-                    text = texts.get((f.low, f.n)) or texts.setdefault((f.low, f.n), str(f))
-                    lines.append(f"{row}{names.get(z) or format_word(z)}\t{text}")
-    text = "\n".join(lines) + "\n"
+    def lines():
+        words = enumerate_words(spec.gen_count, args.max_ell, args.cap)
+        invs = enumerate_twisted_involutions(spec, args.max_rho, args.cap)
+        names = {w: format_word(w) for w in (*words, *invs)}
+        yield cache_header(spec)
+        for tag, tab, ws in (("P", table, words), ("Psig", ttable, invs)):
+            pairs = ((f"{names[y]}\t{names[w]}", tab.p(y, w)) for w in ws for y in tab.interval(w))
+            yield from poly_rows(tag, pairs)
+        # a product word outside ``names`` is formatted on its row, not kept (to save memory)
+        products = (("h", words, kl_product), ("hsig", invs, partial(twisted_product, spec)))
+        for tag, ys, product in products:
+            pairs = (
+                (f"{head}{names.get(z) or format_word(z)}", prod[z])
+                for x in words for y in ys
+                for prod, head in ((product(x, y), f"{names[x]}\t{names[y]}\t"),)
+                for z in (sorted(prod, key=word_key) if len(prod) > 1 else prod)
+            )
+            yield from poly_rows(tag, pairs)
+
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _file_error("write", args.out, exc) from exc
+        save_lines(args.out, "write", lines())
     else:
-        out.write(text)
+        write_lines(lines(), out)
     return 0
 
 
@@ -364,11 +365,10 @@ def main(argv=None) -> int:
         spec = CoxeterSpec(args.gens, parse_star(args.star, args.gens))
         table = KLTable()
         ttable = TwistedKLTable(spec)
-        if args.cache:
-            load_cache(args.cache, spec, table, ttable)
+        kept = load_cache(args.cache, spec, table, ttable) if args.cache else []
         code = _COMMANDS[args.command](args, spec, table, ttable, sys.stdout)
         if args.cache:
-            save_cache(args.cache, spec, table, ttable)
+            save_cache(args.cache, spec, table, ttable, kept)
         return code
     except CapExceeded as exc:
         print(f"tklwb: {exc}", file=sys.stderr)

@@ -275,7 +275,7 @@ class _Table:
             return ONE
         if len(y) < len(w) and (got := self.oracle_row(w).get(y)) is not None:
             return got
-        self.leq(y, w)  # raises for an index the table does not have
+        self.leq(y, w)  # off the row; the twisted table then checks the words
         return ZERO
 
     def interval(self, w: Word) -> tuple[Word, ...]:

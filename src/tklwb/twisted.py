@@ -53,7 +53,6 @@ from .words import (
     Word,
     _fold,
     bruhat_leq,
-    bruhat_leq_twisted,
     check_twisted_involution,
     inverse,
     lower_twisted,
@@ -139,8 +138,21 @@ class TwistedKLTable(_Table):
     def _bar(self, x: Word) -> Elt:
         return bar_basis(self.spec, x)
 
-    def leq(self, y: Word, w: Word) -> bool:
-        return bruhat_leq_twisted(self.spec, y, w)
+    leq = staticmethod(bruhat_leq)  # on twisted involutions, which p and p_oracle check
+
+    def p(self, y: Word, w: Word) -> LaurentPoly:
+        """`_Table.p` on checked words: the recurrence only twists them."""
+        spec = self.spec
+        return super().p(check_twisted_involution(spec, y), check_twisted_involution(spec, w))
+
+    def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
+        """`_Table.p_oracle`; the row of ``w`` holds only twisted involutions,
+        so only a read off the row checks the words."""
+        got = super().p_oracle(y, w)
+        if not got:
+            check_twisted_involution(self.spec, y)
+            check_twisted_involution(self.spec, w)
+        return got
 
     def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
         """``Psigma[y, w]`` by descent reduction plus the universal recurrence.
@@ -196,7 +208,7 @@ class TwistedKLTable(_Table):
         sy = twist(spec, s, y)
         if len(sy) == len(y) - 1:  # a one-letter step: s y == y s*
             total += self.mu(sy, w)
-        # nu checked y, so y and x are twisted involutions: plain order agrees
+        # nu read y from a row or checked it, so y and x are twisted involutions
         for x in self.interval(w):
             if x and x[0] == s and bruhat_leq(y, x):
                 total -= self.mu(y, x) * self.mu(x, w)

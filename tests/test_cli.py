@@ -496,3 +496,67 @@ def test_dump_round_trip(tmp_path, capsys):
         cache.write_bytes(path.read_bytes())
         assert main(system + ["--cache", str(cache)] + list(query)) == 0
         assert capsys.readouterr() == (fresh, "")
+
+
+def test_a_dump_used_as_cache_keeps_every_row(tmp_path, capsys):
+    system = ["--gens", "3", "--star", "(a b)"]
+    cache = tmp_path / "tables.tsv"
+    assert main(system + ["dump", "--max-rho", "3", "--max-ell", "3", "--out", str(cache)]) == 0
+    dumped = cache.read_text()
+    assert main(system + ["--cache", str(cache), "tkl", "e", "bcabca"]) == 0
+    assert cache.read_text() == dumped
+    # a query past the dump's bounds adds memo rows; the h/hsig rows follow them in file order
+    assert main(system + ["--cache", str(cache), "kl", "e", "abcabcab"]) == 0
+    assert capsys.readouterr() == ("1+q\n1+5q+7q^2\n", "")
+    products = [line for line in dumped.splitlines() if line.split("\t")[0] in ("h", "hsig")]
+    lines = cache.read_text().splitlines()
+    assert len(lines) > len(dumped.splitlines())
+    assert lines[-len(products):] == products
+
+
+def test_dump_streams_its_rows(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "tables.tsv"
+    dump = ["--gens", "3", "--star", "(a b)", "dump", "--max-rho", "4", "--max-ell", "5"]
+    tracemalloc.start()
+    try:
+        assert main(dump + ["--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert written > 700_000
+    assert peak < 4 * written  # holding the rows or their joined text takes more
+
+
+def test_a_failed_dump_leaves_no_trace(tmp_path, capsys, monkeypatch):
+    import tklwb.cli as cli
+    from tklwb.hecke import InternalInconsistencyError
+
+    dump = ["--gens", "3", "--star", "(a b)", "dump", "--max-rho", "4", "--max-ell", "5"]
+    path = tmp_path / "tables.tsv"
+    path.write_bytes(b"the old tables\n")
+    real, written = cli.twisted_product, []
+
+    def failing(spec, x, y):
+        if x == (2, 1, 0):  # partway through the hsig rows
+            written.extend(p.stat().st_size for p in tmp_path.glob("tables.tsv.*.tmp"))
+            raise InternalInconsistencyError("stopped")
+        return real(spec, x, y)
+
+    monkeypatch.setattr(cli, "twisted_product", failing)
+    assert main(dump + ["--out", str(path)]) == 3
+    assert capsys.readouterr() == ("", "tklwb: internal inconsistency: stopped\n")
+    assert written and written[0] > 0  # rows had reached the temporary file
+    assert path.read_bytes() == b"the old tables\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["tables.tsv"]
+    # past the cap: exit 4 with nothing written, to stdout or to the file
+    for out in ([], ["--out", str(path)]):
+        assert main(["--cap", "10"] + dump + out) == 4
+        assert capsys.readouterr().out == ""
+    assert path.read_bytes() == b"the old tables\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["tables.tsv"]
+    # a missing directory fails before any enumeration
+    monkeypatch.setattr(cli, "enumerate_words", None)
+    assert main(dump + ["--out", str(tmp_path / "missing" / "x.tsv")]) == 2

@@ -140,19 +140,17 @@ def test_oracle_examples():
 
 
 def test_p_oracle_reads_a_warm_row_without_order_tests(monkeypatch):
-    import tklwb.twisted as twisted
-
     tt = TwistedKLTable(ID3)
     word = w("abcba")
     row = tt.oracle_row(word)
-    real = twisted.bruhat_leq_twisted
+    real = tt.leq
     calls = []
 
-    def counted(spec, y, x):
+    def counted(y, x):
         calls.append((y, x))
-        return real(spec, y, x)
+        return real(y, x)
 
-    monkeypatch.setattr(twisted, "bruhat_leq_twisted", counted)
+    monkeypatch.setattr(tt, "leq", counted)
     for y, p in row.items():
         assert tt.p_oracle(y, word) == p
     assert calls == []
