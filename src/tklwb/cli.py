@@ -136,50 +136,61 @@ def cache_header(spec: CoxeterSpec) -> str:
 
 
 def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> list[str]:
-    """Seed the tables from a cache file; return its ``h``/``hsig`` lines.  A
-    file with a header mismatch is ignored, and so, with a warning, is one
-    with a row that does not parse, whose ``y`` is not below ``w`` (in
-    `bruhat_leq_twisted` for ``Psig``), or that breaks a rule of `hecke.row_fault`."""
+    """Seed the tables from a cache file, read line by line; return its
+    ``h``/``hsig`` lines.  A file with a header mismatch is ignored, and so,
+    with a warning, is one that is not UTF-8 text or has a row that
+    `_cache_row` rejects.  The tables are seeded only once the whole file
+    has passed."""
+    entries: dict[str, dict[tuple[Word, Word], LaurentPoly]] = {"P": {}, "Psig": {}}
+    kept: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            if fh.readline().rstrip("\n") != cache_header(spec):
+                return []
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if fields[0] in ("h", "hsig"):
+                    kept.append(line)  # unread
+                    continue
+                try:
+                    y, w, poly = _cache_row(spec, fields)
+                except ValueError as exc:
+                    warning = f"ignoring cache {path}: bad line {line!r}: {exc}"
+                    print(f"tklwb: warning: {warning}", file=sys.stderr)
+                    return []
+                entries[fields[0]][(y, w)] = poly
     except FileNotFoundError as exc:
         if os.path.isdir(os.path.dirname(path) or "."):
             return []
         raise _file_error("write cache", path, exc) from exc  # before any work
-    except UnicodeDecodeError:
+    except UnicodeDecodeError:  # on any line, so before the tables are seeded
         print(f"tklwb: warning: ignoring cache {path}: not UTF-8 text", file=sys.stderr)
         return []
     except OSError as exc:
         raise _file_error("read cache", path, exc) from exc
-    if not lines or lines[0] != cache_header(spec):
-        return []
-    entries: dict[str, dict[tuple[Word, Word], LaurentPoly]] = {"P": {}, "Psig": {}}
-    kept: list[str] = []
-    for line in filter(None, lines[1:]):
-        fields = line.split("\t")
-        if fields[0] in ("h", "hsig"):
-            kept.append(line)  # unread
-            continue
-        try:
-            if len(fields) != 4 or fields[0] not in ("P", "Psig"):
-                raise ValueError("expected P or Psig and three fields")
-            y = parse_word(fields[1], spec.gen_count)
-            w = parse_word(fields[2], spec.gen_count)
-            poly = parse_poly(fields[3])
-            if not (bruhat_leq(y, w) if fields[0] == "P" else bruhat_leq_twisted(spec, y, w)):
-                raise ValueError("y is not below w")
-            fault = row_fault(y, w, poly)
-            if fault:
-                raise ValueError(f"the value {fault}")
-        except ValueError as exc:
-            warning = f"ignoring cache {path}: bad line {line!r}: {exc}"
-            print(f"tklwb: warning: {warning}", file=sys.stderr)
-            return []
-        entries[fields[0]][(y, w)] = poly
     table.seed(entries["P"])
     ttable.seed(entries["Psig"])
     return kept
+
+
+def _cache_row(spec: CoxeterSpec, fields: list[str]) -> tuple[Word, Word, LaurentPoly]:
+    """``(y, w, poly)`` of a ``P`` or ``Psig`` row; `ValueError` if it does
+    not parse, its ``y`` is not below ``w`` (in `bruhat_leq_twisted` for
+    ``Psig``) or it breaks a rule of `hecke.row_fault`."""
+    if len(fields) != 4 or fields[0] not in ("P", "Psig"):
+        raise ValueError("expected P or Psig and three fields")
+    y = parse_word(fields[1], spec.gen_count)
+    w = parse_word(fields[2], spec.gen_count)
+    poly = parse_poly(fields[3])
+    if not (bruhat_leq(y, w) if fields[0] == "P" else bruhat_leq_twisted(spec, y, w)):
+        raise ValueError("y is not below w")
+    fault = row_fault(y, w, poly)
+    if fault:
+        raise ValueError(f"the value {fault}")
+    return y, w, poly
 
 
 def poly_rows(tag: str, pairs):

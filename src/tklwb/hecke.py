@@ -4,6 +4,10 @@ The Hecke algebra with parameter ``q`` over the standard basis ``t_w``; its
 elements are sparse maps from words to Laurent polynomials (`Elt`).  The
 parameter-``q**2`` algebra is its image under ``v -> v**2`` (see `twisted`).
 
+A generator acts on the algebra and on the module of `twisted` by one kernel,
+`gen_step`, with the rule tables `ALGEBRA_T_S`, `ALGEBRA_T_S_INVERSE` and
+`twisted.MODULE_T_S`; `letter_product` applies a word letter by letter.
+
 ``P`` here and ``Psigma`` in `twisted` are built the same way: each is the
 transition matrix from a standard basis to the unique bar-invariant one.
 `_Table` holds what the two tables share: the memos, the interval below each
@@ -45,28 +49,18 @@ from .words import (
 
 V_PLUS_VINV = v_power(1) + v_power(-1)
 Q_PLUS_QINV = v_power(2) + v_power(-2)
-_Q_MINUS_1 = Q - ONE
-_QINV = v_power(-2)
-_QINV_MINUS_1 = _QINV - ONE
 
 
 Elt = dict  # Word -> nonzero LaurentPoly: an algebra or a module element
 
-
-def accumulate(acc: dict, w: Word, f: LaurentPoly) -> None:
-    """``acc[w] += f`` for a nonzero ``f``, dropping the entry when it cancels."""
-    g = acc.get(w)
-    if g is None:
-        acc[w] = f
-    elif (g := g + f).n:
-        acc[w] = g
-    else:
-        del acc[w]
+# `gen_step` rules of ``t_s`` and of ``t_s**-1 = q**-1 t_s + q**-1 - 1``
+ALGEBRA_T_S = {1: (ONE, ZERO), -1: (Q, Q - ONE)}
+ALGEBRA_T_S_INVERSE = {1: (v_power(-2), v_power(-2) - ONE), -1: (ONE, ZERO)}
 
 
 def add_scaled(acc: dict, terms: dict, factor) -> None:
     """``acc += factor * terms`` for sparse word->polynomial maps whose
-    entries are nonzero (`accumulate`, inlined: this is the hot loop)."""
+    entries are nonzero; an entry that cancels is dropped."""
     if not factor:
         return
     get = acc.get
@@ -81,50 +75,72 @@ def add_scaled(acc: dict, terms: dict, factor) -> None:
             del acc[w]
 
 
-def gen_mul_left(s: int, h: Elt) -> Elt:
-    """Left multiplication by the standard basis element of a generator.
+def gen_step(rules: dict, move, s: int, m: Elt) -> Elt:
+    """One generator on an element: each ``e_w`` goes to ``a e_u + b e_w``,
+    where ``u = move(s, w)`` and ``(a, b) = rules[len(u) - len(w)]``.
 
-    ``t_s t_w`` is ``t_sw`` on an ascent and ``q t_sw + (q - 1) t_w`` on a
-    descent.
+    The one kernel of the algebra (`ALGEBRA_T_S`, `ALGEBRA_T_S_INVERSE`) and
+    of the module (`twisted.MODULE_T_S`).  ``a`` is never zero; an ``a``
+    spelled `ONE` costs no multiply, and a ``b`` spelled `ZERO` adds no
+    term.  An entry that cancels is dropped.
     """
     out: Elt = {}
-    for w, f in h.items():
-        sw = multiply((s,), w)
-        if len(sw) > len(w):
-            accumulate(out, sw, f)
+    get = out.get
+    for w, f in m.items():
+        u = move(s, w)
+        a, b = rules[len(u) - len(w)]
+        g = f if a is ONE else a * f
+        h = get(u)
+        if h is not None and not (g := h + g).n:
+            del out[u]
         else:
-            accumulate(out, sw, Q * f)
-            accumulate(out, w, _Q_MINUS_1 * f)
+            out[u] = g
+        if b is not ZERO:
+            g = b * f
+            h = get(w)
+            if h is not None and not (g := h + g).n:
+                del out[w]
+            else:
+                out[w] = g
+    return out
+
+
+def _left(s: int, w: Word) -> Word:
+    """``s w`` as a reduced word: `multiply` for one letter, without its loop."""
+    return w[1:] if w and w[0] == s else (s,) + w
+
+
+def gen_mul_left(s: int, h: Elt) -> Elt:
+    """Left multiplication by the standard basis element ``t_s``."""
+    return gen_step(ALGEBRA_T_S, _left, s, h)
+
+
+def letter_product(step, h: Elt, m: Elt) -> Elt:
+    """``sum_u f_u t_u m`` over the entries ``(u, f_u)`` of ``h``, where
+    ``step(s, .)`` is the action of a generator and ``t_u`` applies the
+    letters of ``u`` innermost-first."""
+    out: Elt = {}
+    for u, f in h.items():
+        acted = m
+        for s in reversed(u):
+            acted = step(s, acted)
+        add_scaled(out, acted, f)
     return out
 
 
 def mul(a: Elt, b: Elt) -> Elt:
-    """Product of two algebra elements; ``t_u b`` applies the letters of ``u``
-    innermost-first."""
-    out: Elt = {}
-    for u, f in a.items():
-        h = b
-        for s in reversed(u):
-            h = gen_mul_left(s, h)
-        add_scaled(out, h, f)
-    return out
+    """Product of two algebra elements."""
+    return letter_product(gen_mul_left, a, b)
 
 
 @lru_cache(maxsize=None)
 def t_inverse(w: Word) -> Elt:
-    """The inverse of the standard basis element of ``w``.
-
-    For a generator, ``t_s**-1 = q**-1 t_s + (q**-1 - 1) t_e``; longer words
-    multiply the generator inverses in reverse order.  Returned dicts are
-    shared through the cache; treat them as immutable.
-    """
+    """The inverse of the standard basis element of ``w``:
+    ``t_w**-1 = t_s**-1 t_{w'}**-1`` for ``w = w' s``.  Returned dicts are
+    shared through the cache; treat them as immutable."""
     if not w:
         return {IDENTITY: ONE}
-    x = t_inverse(w[:-1])
-    out: Elt = {}
-    add_scaled(out, gen_mul_left(w[-1], x), _QINV)
-    add_scaled(out, x, _QINV_MINUS_1)
-    return out
+    return gen_step(ALGEBRA_T_S_INVERSE, _left, w[-1], t_inverse(w[:-1]))
 
 
 def bar_t(w: Word) -> Elt:
@@ -198,12 +214,8 @@ def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:
     out: dict[Word, LaurentPoly] = {}
     while rem:
         w = min(rem, key=_longest_first)
-        g = rem.pop(w) * v_power(len(w))
-        out[w] = g
-        minus_g = -g
-        for u, f in basis_of(w).items():
-            if u != w:
-                accumulate(rem, u, minus_g * f)
+        g = out[w] = rem[w].shift(len(w))
+        add_scaled(rem, basis_of(w), -g)  # its top term cancels rem[w]
     return out
 
 
@@ -217,19 +229,21 @@ class _TooDeep(Exception):
 class _Table:
     """The memos of a Kazhdan-Lusztig table and what is built from them.
 
-    A subclass gives the order test ``leq``, one recurrence ``_step`` (which
-    reads lower pairs by ``_p``), the interval rule ``_below(w)`` (the indices
-    below ``w``, in (length, lex) order), the bar image ``_bar(x)`` of the
-    standard basis element of ``x`` and the ``name`` of its polynomials in
-    oracle error messages.  The recurrence memo and the oracle rows are kept
-    separate so the two routes stay independent.  Returned rows, basis
-    elements and intervals are shared through the memos; treat them as
-    immutable.  Every caller reads intervals here, so each is built once per
-    table, and its words are the tuples of the memo keys.
+    A subclass gives one recurrence ``_step`` (which reads lower pairs by
+    ``_p``), the interval rule ``_below(w)`` (the indices below ``w``, in
+    (length, lex) order), the bar image ``_bar(x)`` of the standard basis
+    element of ``x`` and the ``name`` of its polynomials in oracle error
+    messages.  The recurrence memo and the oracle rows are kept separate so
+    the two routes stay independent.  Returned rows, basis elements and
+    intervals are shared through the memos; treat them as immutable.  Every
+    caller reads intervals here, so each is built once per table, and its
+    words are the tuples of the memo keys.
 
     Single-writer: share a table across threads only for reads of entries
     computed before the handoff.
     """
+
+    leq = staticmethod(bruhat_leq)  # also on twisted involutions, which TwistedKLTable checks
 
     def __init__(self) -> None:
         self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
@@ -275,8 +289,7 @@ class _Table:
             return ONE
         if len(y) < len(w) and (got := self.oracle_row(w).get(y)) is not None:
             return got
-        self.leq(y, w)  # off the row; the twisted table then checks the words
-        return ZERO
+        return ZERO  # off the row; the twisted table then checks the words
 
     def interval(self, w: Word) -> tuple[Word, ...]:
         """The indices below ``w``, in (length, lex) order."""
@@ -329,8 +342,6 @@ class KLTable(_Table):
     def _bar(self, x: Word) -> Elt:
         return bar_t(x)
 
-    leq = staticmethod(bruhat_leq)
-
     def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
         """``P[y, w]`` by descent reduction plus the universal recurrence.
 
@@ -369,6 +380,17 @@ def kl_correction(w: Word, j: int) -> dict[Word, LaurentPoly]:
     return out
 
 
+def corrected(base: Word, factor: LaurentPoly, js, correction) -> Elt:
+    """The tail of both closed-form products: ``factor`` times the class of
+    ``base`` plus every term of ``correction(base, j)`` for ``j`` in ``js``."""
+    out = {base: factor}
+    for j in js:
+        for z in correction(base, j):
+            got = out.get(z)
+            out[z] = factor if got is None else got + factor
+    return out
+
+
 def kl_product(x: Word, y: Word) -> dict[Word, LaurentPoly]:
     """Expansion of the KL basis product ``c_x c_y`` over the KL basis.
 
@@ -379,15 +401,8 @@ def kl_product(x: Word, y: Word) -> dict[Word, LaurentPoly]:
     """
     n = len(x)
     if x and y and x[-1] == y[0]:
-        base, factor, js = multiply(x[:-1], y), V_PLUS_VINV, (n,)
-    else:
-        base, factor, js = multiply(x, y), ONE, (n, n + 1)
-    out = {base: factor}
-    for j in js:
-        for z in kl_correction(base, j):
-            got = out.get(z)
-            out[z] = factor if got is None else got + factor
-    return out
+        return corrected(multiply(x[:-1], y), V_PLUS_VINV, (n,), kl_correction)
+    return corrected(multiply(x, y), ONE, (n, n + 1), kl_correction)
 
 
 def triple_product(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, LaurentPoly]:

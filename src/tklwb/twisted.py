@@ -2,8 +2,9 @@
 
 The free module on the twisted involutions carries an action of the
 parameter-``q**2`` Hecke algebra in which a generator sends a basis element
-``a_w`` into a two-term combination keyed on how the twist moves ``w``
-(`gen_action`).  A bar operator compatible with the algebra's bar involution
+``a_w`` into a two-term combination keyed on how the twist moves ``w``:
+`gen_action` is the generator kernel `hecke.gen_step` with the rule table
+`MODULE_T_S`.  A bar operator compatible with the algebra's bar involution
 acts by ``a_w -> (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}`` (`bar_basis`), and the
 transition matrix from the standard basis to the bar-invariant one defines
 the twisted Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
@@ -33,7 +34,7 @@ the closed form of ``C_s A_w``, which the top-coefficient data
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .hecke import (
     Elt,
@@ -41,12 +42,13 @@ from .hecke import (
     Q_PLUS_QINV,
     V_PLUS_VINV,
     _Table,
-    accumulate,
-    add_scaled,
     bar_t,
+    corrected,
     expand_triangular,
+    gen_step,
+    letter_product,
 )
-from .laurent import LaurentPoly, ONE, Q, const, substitute_v_squared, v_power
+from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_v_squared, v_power
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -62,49 +64,28 @@ from .words import (
 
 _Q2 = v_power(4)
 _Q_PLUS_1 = Q + ONE
-_Q2_MINUS_Q = _Q2 - Q
-_Q2_MINUS_Q_MINUS_1 = _Q2 - Q - ONE
-_Q2_MINUS_1 = _Q2 - ONE
+
+# The rules of ``T_s`` for `hecke.gen_step`, by ``len(u) - len(w)`` with
+# ``u = s # w``: ``s w s*`` when the lengths differ by two, ``s w`` by one.
+MODULE_T_S = {
+    2: (ONE, ZERO),
+    1: (_Q_PLUS_1, Q),
+    -1: (_Q2 - Q, _Q2 - Q - ONE),
+    -2: (_Q2, _Q2 - ONE),
+}
 
 
 def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
-    """Action of the standard generator ``T_s`` on a module element.
-
-    The four cases, with ``u = s # w`` the twist of the index (``s w`` when
-    the lengths differ by one, ``s w s*`` when by two):
-
-        a_u                                   if u == s w s* and longer
-        (q+1) a_u + q a_w                     if u == s w and longer
-        (q^2-q) a_u + (q^2-q-1) a_w           if u == s w and shorter
-        q^2 a_u + (q^2-1) a_w                 if u == s w s* and shorter
-    """
-    out: Elt = {}
-    for w, f in m.items():
-        u = twist(spec, s, w)
-        if len(u) == len(w) + 1:
-            accumulate(out, u, _Q_PLUS_1 * f)
-            accumulate(out, w, Q * f)
-        elif len(u) == len(w) - 1:
-            accumulate(out, u, _Q2_MINUS_Q * f)
-            accumulate(out, w, _Q2_MINUS_Q_MINUS_1 * f)
-        elif len(u) > len(w):
-            accumulate(out, u, f)
-        else:
-            accumulate(out, u, _Q2 * f)
-            accumulate(out, w, _Q2_MINUS_1 * f)
-    return out
+    """Action of the standard generator ``T_s`` on a module element: the
+    kernel `hecke.gen_step` with the rules `MODULE_T_S`."""
+    return gen_step(MODULE_T_S, partial(twist, spec), s, m)
 
 
 def hecke_action(spec: CoxeterSpec, h: Elt, m: Elt) -> Elt:
     """Act on a module element by the image of an algebra element ``h``
     under ``v -> v**2``, ``t_u -> T_u``: the parameter-``q**2`` action."""
-    out: Elt = {}
-    for u, f in h.items():
-        acted = m
-        for s in reversed(u):
-            acted = gen_action(spec, s, acted)
-        add_scaled(out, acted, substitute_v_squared(f))
-    return out
+    doubled = {u: substitute_v_squared(f) for u, f in h.items()}
+    return letter_product(partial(gen_action, spec), doubled, m)
 
 
 @lru_cache(maxsize=None)
@@ -113,10 +94,7 @@ def bar_basis(spec: CoxeterSpec, w: Word) -> Elt:
 
     Returned dicts are shared through the cache; treat them as immutable.
     """
-    res = hecke_action(spec, bar_t(w), {inverse(w): ONE})
-    if len(w) % 2:
-        res = {u: -f for u, f in res.items()}
-    return res
+    return hecke_action(spec, bar_t(w), {inverse(w): -ONE if len(w) % 2 else ONE})
 
 
 class TwistedKLTable(_Table):
@@ -137,8 +115,6 @@ class TwistedKLTable(_Table):
 
     def _bar(self, x: Word) -> Elt:
         return bar_basis(self.spec, x)
-
-    leq = staticmethod(bruhat_leq)  # on twisted involutions, which p and p_oracle check
 
     def p(self, y: Word, w: Word) -> LaurentPoly:
         """`_Table.p` on checked words: the recurrence only twists them."""
@@ -296,12 +272,7 @@ def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
     base = y
     for s in reversed(letters):
         base = twist(spec, s, base)
-    out = {base: factor}
-    for j in js:
-        for z in twisted_correction(spec, base, j):
-            got = out.get(z)
-            out[z] = factor if got is None else got + factor
-    return out
+    return corrected(base, factor, js, partial(twisted_correction, spec))
 
 
 def twisted_product_direct(

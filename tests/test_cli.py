@@ -369,6 +369,20 @@ def test_malformed_cache_is_discarded(tmp_path, capsys):
         assert "P\te\tabcba\t1+q" in lines
 
 
+def test_cache_not_utf8_past_the_header_is_discarded(tmp_path, capsys):
+    # the bad byte lies past the first block the reader decodes, so it
+    # fails in the middle of the rows, after some of them have parsed
+    cache = tmp_path / "cache.tsv"
+    rows = b"P\te\tabcba\t1+q\n" * 2000
+    cache.write_bytes(b"tklwb-cache v1 gens=3 star=id\n" + rows + b"P\te\tab\xff\t1\n")
+    code = main(["--gens", "3", "--star", "id", "--cache", str(cache), "enum", "0"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.err == f"tklwb: warning: ignoring cache {cache}: not UTF-8 text\n"
+    # nothing was seeded, so the save holds the header alone
+    assert cache.read_text() == "tklwb-cache v1 gens=3 star=id\n"
+
+
 def test_poisoned_cache_is_discarded(tmp_path, capsys):
     cache = tmp_path / "cache.tsv"
     cache.write_text("tklwb-cache v1 gens=3 star=id\nP\te\tabcba\t7+q^9\n")
@@ -560,3 +574,29 @@ def test_a_failed_dump_leaves_no_trace(tmp_path, capsys, monkeypatch):
     # a missing directory fails before any enumeration
     monkeypatch.setattr(cli, "enumerate_words", None)
     assert main(dump + ["--out", str(tmp_path / "missing" / "x.tsv")]) == 2
+
+
+def test_cache_load_streams_the_file(tmp_path):
+    import tracemalloc
+
+    from tklwb.cli import load_cache
+    from tklwb.hecke import KLTable
+    from tklwb.twisted import TwistedKLTable
+    from tklwb.words import CoxeterSpec
+
+    path = tmp_path / "tables.tsv"
+    system = ["--gens", "3", "--star", "(a b)"]
+    assert main(system + ["dump", "--max-rho", "4", "--max-ell", "5", "--out", str(path)]) == 0
+    size = path.stat().st_size
+    assert size > 700_000
+    spec = CoxeterSpec.make(3, "(a b)")
+    table, ttable = KLTable(), TwistedKLTable(spec)
+    tracemalloc.start()
+    try:
+        kept = load_cache(str(path), spec, table, ttable)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept and table.snapshot() and ttable.snapshot()
+    # what is gone on return was working memory; the whole text would take more
+    assert peak - held < size // 4

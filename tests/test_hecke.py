@@ -4,11 +4,13 @@ import pytest
 
 from helpers import bar_hecke, dagger_hecke, triple_product_direct
 from tklwb.hecke import (
+    ALGEBRA_T_S_INVERSE,
     KLTable,
     add_scaled,
     bar_t,
     expand_triangular,
     gen_mul_left,
+    gen_step,
     kl_correction,
     kl_product,
     kl_product_direct,
@@ -18,6 +20,7 @@ from tklwb.hecke import (
 )
 from tklwb.laurent import (
     ONE,
+    Q,
     ZERO,
     const,
     parse_poly,
@@ -118,6 +121,47 @@ def test_t_inverse_examples():
         word = w(text)
         assert mul(t_inverse(word), {word: ONE}) == {(): ONE}
         assert ref_mul_q2(doubled(t_inverse(word)), {word: ONE}) == {(): ONE}
+
+
+def test_gen_mul_left_satisfies_quadratic_relation():
+    # t_s (t_s h) = (q - 1) t_s h + q h
+    for word in enumerate_words(3, 3):
+        h = {word: ONE}
+        for s in range(3):
+            once = gen_mul_left(s, h)
+            expect = {}
+            for u, f in once.items():
+                expect[u] = expect.get(u, ZERO) + (Q - ONE) * f
+            expect[word] = expect.get(word, ZERO) + Q
+            expect = {u: f for u, f in expect.items() if f}
+            assert gen_mul_left(s, once) == expect
+
+
+def test_t_inverse_inverts_every_short_word():
+    words = enumerate_words(3, 6)
+    assert len(words) == 190
+    for word in words:
+        assert mul(t_inverse(word), {word: ONE}) == {(): ONE}
+
+
+def test_generator_steps_drop_cancelled_entries():
+    # w has the descent s; each input is built so that one output entry
+    # cancels, in both insertion orders (the cancelled term lands second)
+    qinv = v_power(-2)
+
+    def left(s, u):
+        return multiply((s,), u)
+
+    for word in enumerate_words(3, 4):
+        if not word:
+            continue
+        s, sw = word[0], word[1:]
+        for m in ({word: ONE, sw: ONE - Q}, {sw: ONE - Q, word: ONE}):
+            got = gen_mul_left(s, m)
+            assert got == {sw: Q} and all(f.n for f in got.values())
+        for m in ({sw: ONE, word: ONE - qinv}, {word: ONE - qinv, sw: ONE}):
+            got = gen_step(ALGEBRA_T_S_INVERSE, left, s, m)
+            assert got == {word: qinv} and all(f.n for f in got.values())
 
 
 def test_element_arithmetic():

@@ -27,6 +27,7 @@ from tklwb.words import (
     multiply,
     parse_word,
     star_word,
+    twist,
     twist_word,
 )
 
@@ -68,6 +69,26 @@ def test_gen_action_satisfies_quadratic_relation():
                 expect[word] = expect.get(word, ZERO) + q2
                 expect = {u: f for u, f in expect.items() if f}
                 assert twice == expect
+
+
+def test_gen_action_drops_cancelled_entries():
+    # for each pair w < s # w, an input whose output cancels at one entry,
+    # in both insertion orders: (q+1, q) and (q^2-q, q^2-q-1) on a one-letter
+    # step, (1, 0) and (q^2, q^2-1) on a two-letter one
+    q2 = v_power(4)
+    for spec in SPECS:
+        for word in enumerate_twisted_involutions(spec, 3):
+            for s in range(spec.gen_count):
+                u = twist(spec, s, word)
+                if len(u) < len(word):
+                    continue
+                if len(u) == len(word) + 1:
+                    low, expect = ONE - Q, {u: -Q}
+                else:
+                    low, expect = ONE - q2, {word: q2}
+                for m in ({u: ONE, word: low}, {word: low, u: ONE}):
+                    got = gen_action(spec, s, m)
+                    assert got == expect and all(f.n for f in got.values())
 
 
 def test_hecke_action_examples():
@@ -158,7 +179,7 @@ def test_p_oracle_reads_a_warm_row_without_order_tests(monkeypatch):
     assert tt.p_oracle(w("bab"), word) == ZERO
     with pytest.raises(NotTwistedInvolution):
         tt.p_oracle(w("ab"), word)
-    assert calls == [(w("bab"), word), (w("ab"), word)]
+    assert calls == []
 
 
 # Frozen reference row for the rank-3 element abcba, from a verified oracle
