@@ -135,45 +135,45 @@ def cache_header(spec: CoxeterSpec) -> str:
     return f"{CACHE_MAGIC} gens={spec.gen_count} star={format_star(spec.star)}"
 
 
-def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> list[str]:
-    """Seed the tables from a cache file, read line by line; return its
-    ``h``/``hsig`` lines.  A file with a header mismatch is ignored, and so,
-    with a warning, is one that is not UTF-8 text or has a row that
-    `_cache_row` rejects.  The tables are seeded only once the whole file
-    has passed."""
+def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> bool:
+    """Seed the tables from a cache file, read line by line; return whether
+    it passed and has ``h``/``hsig`` lines for `save_cache` to keep.  A file
+    with a header mismatch is ignored, and so, with a warning, is one that is
+    not UTF-8 text or has a row that `_cache_row` rejects.  The tables are
+    seeded only once the whole file has passed."""
     entries: dict[str, dict[tuple[Word, Word], LaurentPoly]] = {"P": {}, "Psig": {}}
-    kept: list[str] = []
+    keep = False
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != cache_header(spec):
-                return []
+                return False
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                fields = line.split("\t")
-                if fields[0] in ("h", "hsig"):
-                    kept.append(line)  # unread
+                if line.startswith(("h\t", "hsig\t")):
+                    keep = True  # unread; `save_cache` copies the line
                     continue
+                fields = line.split("\t")
                 try:
                     y, w, poly = _cache_row(spec, fields)
                 except ValueError as exc:
                     warning = f"ignoring cache {path}: bad line {line!r}: {exc}"
                     print(f"tklwb: warning: {warning}", file=sys.stderr)
-                    return []
+                    return False
                 entries[fields[0]][(y, w)] = poly
     except FileNotFoundError as exc:
         if os.path.isdir(os.path.dirname(path) or "."):
-            return []
+            return False
         raise _file_error("write cache", path, exc) from exc  # before any work
     except UnicodeDecodeError:  # on any line, so before the tables are seeded
         print(f"tklwb: warning: ignoring cache {path}: not UTF-8 text", file=sys.stderr)
-        return []
+        return False
     except OSError as exc:
         raise _file_error("read cache", path, exc) from exc
     table.seed(entries["P"])
     ttable.seed(entries["Psig"])
-    return kept
+    return keep
 
 
 def _cache_row(spec: CoxeterSpec, fields: list[str]) -> tuple[Word, Word, LaurentPoly]:
@@ -224,15 +224,22 @@ def save_lines(path: str, action: str, lines) -> None:
             os.remove(tmp)
 
 
-def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable, kept) -> None:
-    """Save the memo rows, then the lines ``kept`` from `load_cache`."""
+def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable, keep) -> None:
+    """Save the memo rows, then, if ``keep`` (from `load_cache`), copy the
+    ``h``/``hsig`` lines of the old file as they stream."""
 
     def pairs(snap):
         for y, w in sorted(snap, key=lambda k: (word_key(k[1]), word_key(k[0]))):
             yield f"{format_word(y)}\t{format_word(w)}", snap[y, w]
 
+    def kept():
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in islice(fh, 1, None):  # after the header
+                if line.startswith(("h\t", "hsig\t")):
+                    yield line.rstrip("\n")
+
     sections = poly_rows("P", pairs(table.snapshot())), poly_rows("Psig", pairs(ttable.snapshot()))
-    save_lines(path, "write cache", chain([cache_header(spec)], *sections, kept))
+    save_lines(path, "write cache", chain([cache_header(spec)], *sections, kept() if keep else ()))
 
 
 # -- output helpers ---------------------------------------------------------
@@ -376,10 +383,10 @@ def main(argv=None) -> int:
         spec = CoxeterSpec(args.gens, parse_star(args.star, args.gens))
         table = KLTable()
         ttable = TwistedKLTable(spec)
-        kept = load_cache(args.cache, spec, table, ttable) if args.cache else []
+        keep = load_cache(args.cache, spec, table, ttable) if args.cache else False
         code = _COMMANDS[args.command](args, spec, table, ttable, sys.stdout)
         if args.cache:
-            save_cache(args.cache, spec, table, ttable, kept)
+            save_cache(args.cache, spec, table, ttable, keep)
         return code
     except CapExceeded as exc:
         print(f"tklwb: {exc}", file=sys.stderr)

@@ -3,29 +3,27 @@
 The Hecke algebra with parameter ``q`` over the standard basis ``t_w``; its
 elements are sparse maps from words to Laurent polynomials (`Elt`).  The
 parameter-``q**2`` algebra is its image under ``v -> v**2`` (see `twisted`).
-
 A generator acts on the algebra and on the module of `twisted` by one kernel,
 `gen_step`, with the rule tables `ALGEBRA_T_S`, `ALGEBRA_T_S_INVERSE` and
-`twisted.MODULE_T_S`; `letter_product` applies a word letter by letter.
+`twisted.MODULE_T_S`.
 
 ``P`` here and ``Psigma`` in `twisted` are built the same way: each is the
 transition matrix from a standard basis to the unique bar-invariant one.
-`_Table` holds what the two tables share: the memos, the interval below each
-index, the oracle row (`solve_bar_triangular`) and the basis element.  The
-polynomials come by two independent routes that the test suite holds
-against each other:
+`_Table` holds what the two tables share (the memos, intervals, oracle row,
+basis element and products ``t_u b_y``).  There are two independent routes:
 
 * ``oracle_row`` solves for the bar-invariant basis element of ``w``
   directly: walking the Bruhat interval downward, it extracts at each index
-  the unique coefficient with strictly negative v-support.  No recurrence is
-  involved.
-* ``p`` evaluates the universal two-letter recurrence (with left descent
-  reductions; `KLTable._step`) and memoizes single values.
+  the unique coefficient with strictly negative v-support, by no recurrence.
+* ``p`` evaluates the universal recurrence (`KLTable._step`) on single
+  values; `basis_element` applies it to whole elements with `gen_step`.
+  The tests hold the basis elements to ``p``, and ``oracle-equivalence``
+  holds ``p`` to the oracle.
 
-Products in the KL basis use the closed combinatorial form for universal
-systems (`kl_product`, with the correction terms of `kl_correction`), again
-cross-checkable against plain standard-basis multiplication followed by the
-triangular change of basis (`kl_product_direct`, `expand_triangular`).
+Products in the KL basis have a closed form for universal systems
+(`kl_product`, with the corrections of `kl_correction`), cross-checked
+against the direct route: the memoized products ``t_u b_y`` summed by
+`_Table.times`, then the triangular change of basis (`kl_product_direct`).
 """
 
 from __future__ import annotations
@@ -113,24 +111,6 @@ def _left(s: int, w: Word) -> Word:
 def gen_mul_left(s: int, h: Elt) -> Elt:
     """Left multiplication by the standard basis element ``t_s``."""
     return gen_step(ALGEBRA_T_S, _left, s, h)
-
-
-def letter_product(step, h: Elt, m: Elt) -> Elt:
-    """``sum_u f_u t_u m`` over the entries ``(u, f_u)`` of ``h``, where
-    ``step(s, .)`` is the action of a generator and ``t_u`` applies the
-    letters of ``u`` innermost-first."""
-    out: Elt = {}
-    for u, f in h.items():
-        acted = m
-        for s in reversed(u):
-            acted = step(s, acted)
-        add_scaled(out, acted, f)
-    return out
-
-
-def mul(a: Elt, b: Elt) -> Elt:
-    """Product of two algebra elements."""
-    return letter_product(gen_mul_left, a, b)
 
 
 @lru_cache(maxsize=None)
@@ -232,10 +212,12 @@ class _Table:
     A subclass gives one recurrence ``_step`` (which reads lower pairs by
     ``_p``), the interval rule ``_below(w)`` (the indices below ``w``, in
     (length, lex) order), the bar image ``_bar(x)`` of the standard basis
-    element of ``x`` and the ``name`` of its polynomials in oracle error
-    messages.  The recurrence memo and the oracle rows are kept separate so
-    the two routes stay independent.  Returned rows, basis elements and
-    intervals are shared through the memos; treat them as immutable.  Every
+    element of ``x``, the generator action ``_gen`` with its ``_move``, the
+    words ``_minus`` that `_build` subtracts and the ``name`` of its
+    polynomials in oracle error messages.  The recurrence memo and the oracle
+    rows are kept separate so the two routes stay independent.  Returned
+    rows, basis elements, products and intervals are shared through the
+    memos; treat them as immutable.  Every
     caller reads intervals here, so each is built once per table, and its
     words are the tuples of the memo keys.
 
@@ -250,6 +232,7 @@ class _Table:
         self._words: dict[Word, Word] = {}  # one tuple per word in memo keys and intervals
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
         self._basis: dict[Word, Elt] = {}
+        self._products: dict[tuple[Word, Word], Elt] = {}
         self._intervals: dict[Word, tuple[Word, ...]] = {}
 
     def p(self, y: Word, w: Word) -> LaurentPoly:
@@ -309,12 +292,42 @@ class _Table:
         return row
 
     def basis_element(self, w: Word) -> Elt:
-        """The canonical basis element ``v**-len(w) sum_y p(y, w) e_y`` of ``w``."""
+        """The canonical basis element ``v**-len(w) sum_y [y, w] e_y`` of ``w``."""
         got = self._basis.get(w)
         if got is None:
-            lead = v_power(-len(w))
-            got = self._basis[w] = {y: lead * self.p(y, w) for y in self.interval(w)}
+            got = self._basis[w] = self._build(w)
         return got
+
+    def _build(self, w: Word) -> Elt:
+        """`_step`'s recurrence on a whole element: ``v**(len(u) - len(w))
+        (e_s + 1) b_u`` less `_minus`, where ``s = w[0]``, ``u = _move(s, w)``
+        and ``e_s = _gen(s, .)``; ``v**-len(w)`` on the interval if ``len(w) <= 2``."""
+        if len(w) <= 2:
+            return dict.fromkeys(self.interval(w), v_power(-len(w)))
+        s = w[0]
+        u = self._move(s, w)
+        below, lead, out = self.basis_element(u), v_power(len(u) - len(w)), {}
+        add_scaled(out, self._gen(s, below), lead)
+        add_scaled(out, below, lead)
+        for z in self._minus(s, u):
+            add_scaled(out, self.basis_element(z), -ONE)
+        return out
+
+    def t_times(self, u: Word, y: Word) -> Elt:
+        """``t_u`` (``T_u`` on the module) times the basis element of ``y``,
+        memoized: one generator step on ``t_times(u[1:], y)``."""
+        got = self._products.get((u, y))
+        if got is None:
+            got = self._gen(u[0], self.t_times(u[1:], y)) if u else self.basis_element(y)
+            self._products[u, y] = got
+        return got
+
+    def times(self, h: Elt, y: Word) -> Elt:
+        """``sum_u f_u t_times(u, y)`` over the entries ``(u, f_u)`` of ``h``."""
+        out: Elt = {}
+        for u, f in h.items():
+            add_scaled(out, self.t_times(u, y), f)
+        return out
 
     # -- cache support ------------------------------------------------------
 
@@ -335,9 +348,15 @@ class KLTable(_Table):
     """
 
     name = "P"
+    _gen = staticmethod(gen_mul_left)
+    _move = staticmethod(_left)
 
     def _below(self, w: Word) -> tuple[Word, ...]:
         return lower_words(w)
+
+    def _minus(self, s: int, sw: Word) -> tuple[Word, ...]:
+        """``rsw = sw[1:]`` when ``s`` is again its left descent (`_build`)."""
+        return (sw[1:],) if sw[1:2] == (s,) else ()
 
     def _bar(self, x: Word) -> Elt:
         return bar_t(x)
@@ -417,5 +436,4 @@ def triple_product(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, LaurentPol
 
 def kl_product_direct(table: KLTable, x: Word, y: Word) -> dict[Word, LaurentPoly]:
     """``c_x c_y`` via standard-basis multiplication and change of basis."""
-    prod = mul(table.basis_element(x), table.basis_element(y))
-    return expand_triangular(prod, table.basis_element)
+    return expand_triangular(table.times(table.basis_element(x), y), table.basis_element)

@@ -13,23 +13,23 @@ the twisted Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
 algebra is its image under ``v -> v**2``, ``t_w -> T_w``, which
 `hecke_action` applies as it acts, so `bar_basis` shares `hecke.t_inverse`.
 
-`TwistedKLTable` is the table of `hecke.KLTable` on the module: the same
-memos, intervals, oracle row and basis element (``A_w``, the distinguished
-basis), with `lower_twisted` as its interval rule and `bar_basis` as its bar
-image.  As on the algebra side there are two independent routes to
-``Psigma``: the oracle row and ``p`` (descent reduction plus the universal
-recurrence, `_step`).  The recurrence route exists because the generic
-coefficient recurrence is circular if applied naively; here it is used only
-as a checked identity, never as a computation path (see `positivity`).
+`TwistedKLTable` is the table of `hecke.KLTable` on the module, with
+`lower_twisted` as its interval rule, `bar_basis` as its bar image and
+`gen_action` building its basis elements (``A_w``, the distinguished basis)
+and products ``T_u A_y``.  As on the algebra side there are two independent
+routes to ``Psigma``: the oracle row and ``p`` (descent reduction plus the
+universal recurrence, `_step`, which `basis_element` applies to whole
+elements).  The generic coefficient recurrence is circular if applied
+naively; it is used only as a checked identity (see `positivity`).
 
 ``C_x A_y`` in the distinguished basis has a closed combinatorial expansion
 (`twisted_product`, with the correction terms of `twisted_correction`),
 cross-checkable against the standard-basis action route
-(`twisted_product_direct`).  It checks once that ``y`` is a twisted
-involution; every word it reaches from ``y`` by `twist` is one too, so
-neither the twists nor the corrections check again.  At ``x = s`` it is
-the closed form of ``C_s A_w``, which the top-coefficient data
-``mu``/``nu``/``mu_s`` also expands (`cs_action`).
+(`twisted_product_direct`, through `_Table.times`).  It checks once that
+``y`` is a twisted involution; every word it reaches from ``y`` by `twist`
+is one too, so neither the twists nor the corrections check again.  At
+``x = s`` it is the closed form of ``C_s A_w``, which the top-coefficient
+data ``mu``/``nu``/``mu_s`` also expands (`cs_action`).
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ from .hecke import (
     Q_PLUS_QINV,
     V_PLUS_VINV,
     _Table,
+    add_scaled,
     bar_t,
     corrected,
     expand_triangular,
     gen_step,
-    letter_product,
 )
 from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_v_squared, v_power
 from .words import (
@@ -84,8 +84,13 @@ def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
 def hecke_action(spec: CoxeterSpec, h: Elt, m: Elt) -> Elt:
     """Act on a module element by the image of an algebra element ``h``
     under ``v -> v**2``, ``t_u -> T_u``: the parameter-``q**2`` action."""
-    doubled = {u: substitute_v_squared(f) for u, f in h.items()}
-    return letter_product(partial(gen_action, spec), doubled, m)
+    out: Elt = {}
+    for u, f in h.items():
+        acted = m
+        for s in reversed(u):
+            acted = gen_action(spec, s, acted)
+        add_scaled(out, acted, substitute_v_squared(f))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -109,9 +114,19 @@ class TwistedKLTable(_Table):
     def __init__(self, spec: CoxeterSpec) -> None:
         super().__init__()
         self.spec = spec
+        self._gen = partial(gen_action, spec)
+        self._move = partial(twist, spec)
 
     def _below(self, w: Word) -> tuple[Word, ...]:
         return lower_twisted(self.spec, w)
+
+    def _minus(self, s: int, w1: Word) -> tuple[Word, ...]:
+        """For `_build`: ``w1[0] # w1`` when ``s`` is its descent, and ``(s,)``
+        when ``len(w1) == 1`` and ``s`` is star-fixed."""
+        if len(w1) == 1:
+            return ((s,),) if self.spec.star[s] == s else ()
+        w2 = twist(self.spec, w1[0], w1)
+        return (w2,) if w2 and w2[0] == s else ()
 
     def _bar(self, x: Word) -> Elt:
         return bar_basis(self.spec, x)
@@ -279,5 +294,5 @@ def twisted_product_direct(
     spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable, x: Word, y: Word
 ) -> Elt:
     """``C_x A_y`` through the standard-basis action, for cross-checks."""
-    m = hecke_action(spec, table.basis_element(x), ttable.basis_element(y))
-    return expand_triangular(m, ttable.basis_element)
+    doubled = {u: substitute_v_squared(f) for u, f in table.basis_element(x).items()}
+    return expand_triangular(ttable.times(doubled, y), ttable.basis_element)

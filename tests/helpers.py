@@ -1,7 +1,8 @@
-"""Operations only the test suite uses: the bar involutions on whole
-elements, the dagger anti-automorphism, the direct triple product, the
-difference recurrences of the twisted polynomials, and step-by-step
-references for the closed-form products."""
+"""Operations only the test suite uses: the product of two algebra
+elements, the bar involutions on whole elements, the dagger
+anti-automorphism, the direct triple product, the difference recurrences of
+the twisted polynomials, and step-by-step references for the closed-form
+products."""
 
 from tklwb.hecke import (
     Elt,
@@ -11,8 +12,8 @@ from tklwb.hecke import (
     add_scaled,
     bar_t,
     expand_triangular,
+    gen_mul_left,
     kl_correction,
-    mul,
 )
 from tklwb.laurent import LaurentPoly, ONE, ZERO, v_power
 from tklwb.twisted import TwistedKLTable, bar_basis
@@ -27,6 +28,18 @@ from tklwb.words import (
     twist_expression,
     twist_word,
 )
+
+
+def mul(a: Elt, b: Elt) -> Elt:
+    """Product of two algebra elements: ``sum_u f_u t_u b`` over the entries
+    ``(u, f_u)`` of ``a``, applying the letters of ``u`` innermost-first."""
+    out: Elt = {}
+    for u, f in a.items():
+        acted = b
+        for s in reversed(u):
+            acted = gen_mul_left(s, acted)
+        add_scaled(out, acted, f)
+    return out
 
 
 def bar_hecke(h: Elt) -> Elt:

@@ -419,6 +419,7 @@ def test_cache_rows_must_be_solver_valid(tmp_path, capsys):
         "P\taba\taba\t1+q",      # P[w, w] is 1
         "Psig\te\tabc\t1",       # abc is not a twisted involution
         "Psig\tc\tab\t1",        # c is not below ab
+        "hsig",                  # a product row needs its fields, or a save would drop it
     ):
         cache.write_text(header + row + "\n")
         code = main(["--gens", "3", "--star", "(a b)", "--cache", str(cache), "enum", "0"])
@@ -526,6 +527,41 @@ def test_a_dump_used_as_cache_keeps_every_row(tmp_path, capsys):
     lines = cache.read_text().splitlines()
     assert len(lines) > len(dumped.splitlines())
     assert lines[-len(products):] == products
+
+
+def test_a_dump_used_as_cache_holds_no_product_rows(tmp_path, monkeypatch):
+    """`save_cache` copies the ``h``/``hsig`` rows from the old file as it
+    writes, so until the save they cost nothing: the memory held when the
+    save starts is the same with and without them."""
+    import tracemalloc
+
+    import tklwb.cli as cli
+
+    system = ["--gens", "3", "--star", "(a b)"]
+    dumped = tmp_path / "tables.tsv"
+    assert main(system + ["dump", "--max-rho", "4", "--max-ell", "5", "--out", str(dumped)]) == 0
+    text = dumped.read_text()
+    rows = [line for line in text.splitlines() if line.split("\t")[0] not in ("h", "hsig")]
+    assert len(text) - sum(len(line) + 1 for line in rows) > 700_000  # product rows
+    real, held = cli.save_cache, []
+
+    def save(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "save_cache", save)
+    cache = tmp_path / "cache.tsv"
+    for content in ("\n".join(rows) + "\n", "\n".join(rows) + "\n", text):  # the first warms up
+        cache.write_text(content)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(system + ["--cache", str(cache), "kl", "e", "a"]) == 0
+        finally:
+            tracemalloc.stop()
+        held[-1] -= base
+        assert cache.read_text() == content
+    assert held[2] - held[1] < len(text) // 20  # holding the product rows takes more
 
 
 def test_dump_streams_its_rows(tmp_path):

@@ -3,16 +3,17 @@ past the bounds of the ``structure-theorems`` sweep (ell <= 4, rho <= 3 at
 3 generators): words of length 3-5 on the left, words of length 3-5 or
 twisted involutions of rank 3-5 on the right, 2-5 generators and any
 diagram involution.  Also against their step-by-step references in
-``helpers`` (operands of length or rank 0-5), and the one check of
-``twisted_product`` on its right operand."""
+``helpers`` (operands of length or rank 0-5), the direct routes against
+letter-by-letter products, and the one check of ``twisted_product`` on its
+right operand."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import kl_product_reference, twisted_product_reference
+from helpers import kl_product_reference, mul, twisted_product_reference
 from tklwb.cli import main
-from tklwb.hecke import KLTable, kl_product, kl_product_direct
-from tklwb.twisted import TwistedKLTable, twisted_product, twisted_product_direct
+from tklwb.hecke import KLTable, expand_triangular, kl_product, kl_product_direct
+from tklwb.twisted import TwistedKLTable, hecke_action, twisted_product, twisted_product_direct
 from tklwb.words import (
     IDENTITY,
     CoxeterSpec,
@@ -67,6 +68,26 @@ def test_twisted_product_matches_direct_route(data):
     y = twist_word(spec, data.draw(reduced_words(spec.gen_count)), IDENTITY)
     got = twisted_product(spec, x, y)
     assert got == twisted_product_direct(spec, KLTable(), TwistedKLTable(spec), x, y)
+
+
+@_SETTINGS
+@given(st.data())
+def test_direct_routes_match_letter_by_letter_products(data):
+    """The direct routes sum the memoized ``t_u b_y`` of their table; here
+    each ``t_u`` is applied letter by letter to the basis element of ``y``
+    (`mul`, `hecke_action`) before the same change of basis."""
+    spec = data.draw(specs())
+    table, ttable = KLTable(), TwistedKLTable(spec)
+    for _ in range(2):  # the second pair reads a warm memo
+        x = data.draw(reduced_words(spec.gen_count, 0))
+        y = data.draw(reduced_words(spec.gen_count, 0))
+        z = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0)), IDENTITY)
+        cx = table.basis_element(x)
+        prod = mul(cx, table.basis_element(y))
+        assert kl_product_direct(table, x, y) == expand_triangular(prod, table.basis_element)
+        acted = hecke_action(spec, cx, ttable.basis_element(z))
+        expect = expand_triangular(acted, ttable.basis_element)
+        assert twisted_product_direct(spec, table, ttable, x, z) == expect
 
 
 @_SETTINGS

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import bar_hecke, dagger_hecke, triple_product_direct
+from helpers import bar_hecke, dagger_hecke, mul, triple_product_direct
 from tklwb.hecke import (
     ALGEBRA_T_S_INVERSE,
     KLTable,
@@ -14,7 +14,6 @@ from tklwb.hecke import (
     kl_correction,
     kl_product,
     kl_product_direct,
-    mul,
     t_inverse,
     triple_product,
 )
@@ -417,6 +416,18 @@ def test_basis_element_examples():
     assert table.basis_element(()) == elt(e="1")
     assert table.basis_element(w("a")) == {w("a"): v_power(-1), (): v_power(-1)}
     assert doubled(table.basis_element(w("a"))) == {w("a"): v_power(-2), (): v_power(-2)}
+
+
+def test_basis_elements_match_the_recurrence():
+    """`basis_element` builds whole elements from shorter ones with the
+    generator kernel; `p` evaluates single values.  Anchored here, while
+    ``oracle-equivalence`` anchors `p` to the oracle."""
+    for gens in (3, 4):
+        table, values = KLTable(), KLTable()
+        for word in enumerate_words(gens, 7):
+            lead = v_power(-len(word))
+            expect = {y: lead * values.p(y, word) for y in values.interval(word)}
+            assert table.basis_element(word) == expect, format_word(word)
 
 
 def test_basis_elements_are_bar_invariant():

@@ -111,7 +111,7 @@ def test_hecke_action_inverts_through_t_inverse():
 
 
 def test_hecke_action_is_compatible_with_multiplication():
-    from tklwb.hecke import mul
+    from helpers import mul
 
     for spec in (ID3, SWAP3):
         elements = [{w(t): ONE} for t in ("a", "ab", "ba", "abc")]
@@ -199,6 +199,22 @@ ABCBA_TROW = {
 def test_oracle_row_fixture():
     row = TwistedKLTable(ID3).oracle_row(w("abcba"))
     assert {format_word(y): str(p) for y, p in row.items()} == ABCBA_TROW
+
+
+def test_distinguished_basis_matches_the_recurrence():
+    """`basis_element` against `p` on every twisted involution of rank <= 5,
+    at every diagram involution of 3 generators and a fixed-point-free one
+    of 4.  ``aba`` at ``id`` is built from ``b`` less ``A_a``: its tail is
+    star-fixed."""
+    specs = [CoxeterSpec.make(3, star) for star in ("id", "(a b)", "(a c)", "(b c)")]
+    for spec in specs + [CoxeterSpec.make(4, "(a b)(c d)")]:
+        tt, values = TwistedKLTable(spec), TwistedKLTable(spec)
+        words = enumerate_twisted_involutions(spec, 5)
+        assert spec != ID3 or w("aba") in words
+        for word in words:
+            lead = v_power(-len(word))
+            expect = {y: lead * values.p(y, word) for y in values.interval(word)}
+            assert tt.basis_element(word) == expect, (spec, format_word(word))
 
 
 def test_distinguished_basis_is_bar_invariant():
