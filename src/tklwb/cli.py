@@ -23,7 +23,7 @@ from functools import partial
 from itertools import chain, islice
 from typing import TextIO
 
-from .hecke import InternalInconsistencyError, KLTable, kl_product, row_fault
+from .hecke import InternalInconsistencyError, KLTable, MemoView, kl_product, row_fault
 from .laurent import LaurentPoly, ParityError, QFormError, parse_poly
 from .positivity import Bounds, CHECK_NAMES, kl_halves, verify
 from .twisted import TwistedKLTable, twisted_product
@@ -140,8 +140,11 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
     it passed and has ``h``/``hsig`` lines for `save_cache` to keep.  A file
     with a header mismatch is ignored, and so, with a warning, is one that is
     not UTF-8 text or has a row that `_cache_row` rejects.  The tables are
-    seeded only once the whole file has passed."""
-    entries: dict[str, dict[tuple[Word, Word], LaurentPoly]] = {"P": {}, "Psig": {}}
+    seeded only once the whole file has passed; until then the rows are held
+    as the memo holds them: by ``w``, one tuple per word, one object per value."""
+    entries: dict[str, dict[Word, dict[Word, LaurentPoly]]] = {"P": {}, "Psig": {}}
+    words: dict[Word, Word] = {}
+    values: dict[tuple[int, int], LaurentPoly] = {}
     keep = False
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -161,7 +164,8 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
                     warning = f"ignoring cache {path}: bad line {line!r}: {exc}"
                     print(f"tklwb: warning: {warning}", file=sys.stderr)
                     return False
-                entries[fields[0]][(y, w)] = poly
+                row = entries[fields[0]].setdefault(words.setdefault(w, w), {})
+                row[words.setdefault(y, y)] = values.setdefault((poly.low, poly.n), poly)
     except FileNotFoundError as exc:
         if os.path.isdir(os.path.dirname(path) or "."):
             return False
@@ -171,8 +175,8 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
         return False
     except OSError as exc:
         raise _file_error("read cache", path, exc) from exc
-    table.seed(entries["P"])
-    ttable.seed(entries["Psig"])
+    table.seed(MemoView(entries["P"]))
+    ttable.seed(MemoView(entries["Psig"]))
     return keep
 
 
@@ -228,9 +232,11 @@ def save_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
     """Save the memo rows, then, if ``keep`` (from `load_cache`), copy the
     ``h``/``hsig`` lines of the old file as they stream."""
 
-    def pairs(snap):
-        for y, w in sorted(snap, key=lambda k: (word_key(k[1]), word_key(k[0]))):
-            yield f"{format_word(y)}\t{format_word(w)}", snap[y, w]
+    def pairs(snap):  # the memo row by row, w then y in `word_key` order
+        for w, row in sorted(snap.rows(), key=lambda item: word_key(item[0])):
+            wtext = format_word(w)
+            for y in sorted(row, key=word_key):
+                yield f"{format_word(y)}\t{wtext}", row[y]
 
     def kept():
         with open(path, "r", encoding="utf-8") as fh:

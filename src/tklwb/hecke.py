@@ -28,7 +28,9 @@ against the direct route: the memoized products ``t_u b_y`` summed by
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 # InternalInconsistencyError is defined beside the arithmetic, whose overflow
 # guard raises it, and re-exported here for the solve checks' callers.
@@ -189,13 +191,15 @@ def row_fault(x: Word, w: Word, p: LaurentPoly) -> str:
 def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:
     """Expand a sparse word -> polynomial map over a unitriangular basis whose
     element ``basis_of(w)`` has top term ``v**-len(w)`` at ``w``, visiting
-    words by (length descending, lex)."""
+    words by (length descending, lex).  The other terms of ``basis_of(w)``
+    are shorter than ``w``, so one length level is fixed before it is visited."""
     rem = dict(terms)
     out: dict[Word, LaurentPoly] = {}
     while rem:
-        w = min(rem, key=_longest_first)
-        g = out[w] = rem[w].shift(len(w))
-        add_scaled(rem, basis_of(w), -g)  # its top term cancels rem[w]
+        top = max(map(len, rem))
+        for w in sorted(u for u in rem if len(u) == top):
+            g = out[w] = rem[w].shift(top)
+            add_scaled(rem, basis_of(w), -g)  # its top term cancels rem[w]
     return out
 
 
@@ -204,6 +208,35 @@ _MAX_DEPTH = 200  # recurrence levels per evaluation, two frames each
 
 class _TooDeep(Exception):
     """`_Table._p` went past `_MAX_DEPTH`; the arguments are the pair it reached."""
+
+
+class MemoView(Mapping):
+    """A read-only view ``(y, w) -> value`` of a table's recurrence memo,
+    whose rows ``w -> {y -> value}`` it reads in place, with no copy: it
+    follows the table as the table grows, so do not iterate over it while
+    the table computes."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, memo: dict[Word, dict[Word, LaurentPoly]]) -> None:
+        self._memo = memo
+
+    def __getitem__(self, key: tuple[Word, Word]) -> LaurentPoly:
+        y, w = key
+        return self._memo[w][y]
+
+    def __iter__(self):
+        for w, row in self._memo.items():
+            for y in row:
+                yield y, w
+
+    def __len__(self) -> int:
+        return sum(map(len, self._memo.values()))
+
+    def rows(self):
+        """``(w, row)`` for each memo row, ``row`` a read-only ``y -> value`` map."""
+        for w, row in self._memo.items():
+            yield w, MappingProxyType(row)
 
 
 class _Table:
@@ -221,6 +254,13 @@ class _Table:
     caller reads intervals here, so each is built once per table, and its
     words are the tuples of the memo keys.
 
+    The recurrence memo is kept in rows ``w -> {y -> value}``, keyed by the
+    table's one tuple per word, and holds one object per distinct value: a
+    pool keyed by ``(low, n)`` holds every value `_p` stores, every value
+    `seed` loads and every entry of an oracle row (values compare by
+    ``(low, n)``, so sharing one does not tie the two routes together).
+    `snapshot` reads the rows in place.
+
     Single-writer: share a table across threads only for reads of entries
     computed before the handoff.
     """
@@ -228,7 +268,8 @@ class _Table:
     leq = staticmethod(bruhat_leq)  # also on twisted involutions, which TwistedKLTable checks
 
     def __init__(self) -> None:
-        self._fast: dict[tuple[Word, Word], LaurentPoly] = {}
+        self._memo: dict[Word, dict[Word, LaurentPoly]] = {}
+        self._pool: dict[tuple[int, int], LaurentPoly] = {(ONE.low, ONE.n): ONE}
         self._words: dict[Word, Word] = {}  # one tuple per word in memo keys and intervals
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
         self._basis: dict[Word, Elt] = {}
@@ -254,16 +295,23 @@ class _Table:
             # the degree bound forces a constant, and the constant term is 1
             return ONE if self.leq(y, w) else ZERO
         # a memoised pair passed the order test when it was stored
-        got = self._fast.get((y, w))
-        if got is not None:
+        row = self._memo.get(w)
+        if row is not None and (got := row.get(y)) is not None:
             return got
         if not self.leq(y, w):
             return ZERO
         if depth > _MAX_DEPTH:
             raise _TooDeep(y, w)
-        got = self._step(y, w, depth + 1)
-        self._fast[self._words.setdefault(y, y), self._words.setdefault(w, w)] = got
-        return got
+        return self._store(y, w, self._step(y, w, depth + 1))
+
+    def _store(self, y: Word, w: Word, value: LaurentPoly) -> LaurentPoly:
+        """Put the pooled ``value`` in the memo row of ``w`` at ``y``; return it."""
+        value = self._pool.setdefault((value.low, value.n), value)
+        row = self._memo.get(w)
+        if row is None:
+            row = self._memo[self._words.setdefault(w, w)] = {}
+        row[self._words.setdefault(y, y)] = value
+        return value
 
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         """The polynomial ``[y, w]`` read from `oracle_row`, which is built
@@ -289,6 +337,9 @@ class _Table:
         row = self._rows.get(w)
         if row is None:
             row = self._rows[w] = solve_bar_triangular(w, self.interval(w), self._bar, self.name)
+            pool = self._pool.setdefault
+            for y, f in row.items():
+                row[y] = pool((f.low, f.n), f)
         return row
 
     def basis_element(self, w: Word) -> Elt:
@@ -331,11 +382,14 @@ class _Table:
 
     # -- cache support ------------------------------------------------------
 
-    def snapshot(self) -> dict[tuple[Word, Word], LaurentPoly]:
-        return dict(self._fast)
+    def snapshot(self) -> MemoView:
+        """The recurrence memo as a live, read-only ``(y, w) -> value`` view."""
+        return MemoView(self._memo)
 
-    def seed(self, entries: dict[tuple[Word, Word], LaurentPoly]) -> None:
-        self._fast.update(entries)
+    def seed(self, entries: Mapping[tuple[Word, Word], LaurentPoly]) -> None:
+        """Store the ``(y, w) -> value`` entries in the recurrence memo."""
+        for (y, w), f in entries.items():
+            self._store(y, w, f)
 
 
 class KLTable(_Table):

@@ -492,6 +492,23 @@ def test_saved_cache_bytes_are_pinned(tmp_path, capsys):
     )
 
 
+def test_cache_save_load_save_keeps_the_bytes(tmp_path, capsys):
+    """A run that adds no row saves, through `seed` and `snapshot`, the bytes
+    it loaded."""
+    cache = tmp_path / "cache.tsv"
+    args = ["--gens", "4", "--star", "(a b)", "--cache", str(cache)]
+    queries = [["kl", "bdac", "abcdabcdabcdabcd"], ["tkl", "e", "dcdcdbadcdcd"]]
+    for query in queries:
+        assert main(args + query) == 0
+    saved = cache.read_bytes()
+    assert saved.count(b"\nP\t") > 100 and saved.count(b"\nPsig\t") > 10
+    for query in queries:
+        assert main(args + query) == 0
+        assert cache.read_bytes() == saved
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["1+12q+60q^2", "1+2q+2q^2+2q^3+2q^4+q^5"] * 2
+
+
 def test_dump_round_trip(tmp_path, capsys):
     system = ["--gens", "3", "--star", "(a b)"]
     dump = system + ["dump", "--max-rho", "3", "--max-ell", "3"]

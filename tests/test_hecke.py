@@ -353,6 +353,80 @@ def test_depth_bound_keeps_values_and_memo(monkeypatch):
     assert raised  # the retry loop ran
 
 
+def test_memo_holds_one_object_per_value():
+    from tklwb.twisted import TwistedKLTable
+    from tklwb.words import lower_twisted
+
+    table, ttable = KLTable(), TwistedKLTable(SWAP3)
+    words = enumerate_words(3, 7)
+    for x in words:
+        for y in lower_words(x):
+            table.p(y, x)
+    involutions = enumerate_twisted_involutions(SWAP3, 5)
+    for x in involutions:
+        for y in lower_twisted(SWAP3, x):
+            ttable.p(y, x)
+    for t, top in ((table, words[-1]), (ttable, involutions[-1])):
+        values = [*t.snapshot().values(), *t.oracle_row(top).values()]
+        assert len(values) > 900
+        assert len({id(f) for f in values}) == len({(f.low, f.n) for f in values})
+
+
+def test_snapshot_is_a_read_only_view_of_the_memo():
+    table = KLTable()
+    snap = table.snapshot()
+    assert len(snap) == 0
+    expected = {}
+    for x in enumerate_words(3, 5):
+        for y in lower_words(x):
+            value = table.p(y, x)
+            if len(x) - len(y) > 2:  # nearer pairs are never memoised
+                expected[y, x] = value
+    assert snap == expected and len(snap) == len(expected)  # taken before the calls
+    assert snap[(), w("abcba")] == parse_poly("1+q")
+    with pytest.raises(TypeError):
+        snap[(), w("abcba")] = ONE
+    assert table.p((), w("abcba")) == parse_poly("1+q")
+
+
+def test_memo_bytes_per_entry_are_bounded():
+    """What a `KLTable` holds per memo entry after random queries like the
+    ``query`` benchmark workload's, at gens 4 and length 16: 211 bytes with
+    one ``(y, w)`` key tuple and one polynomial per entry, 117 with rows by
+    ``w`` and a value pool (Python 3.11, 200 queries, 10,954 entries)."""
+    import gc
+    import random
+    import tracemalloc
+
+    rng = random.Random(0)
+    queries = []
+    for _ in range(200):
+        x = ()
+        while len(x) < 16:
+            s = rng.randrange(4)
+            x += (s,) if not x or x[-1] != s else ()
+        y = ()
+        for s in x:
+            if rng.random() < 0.5:
+                y = multiply(y, (s,))
+        queries.append((y, x))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = KLTable()
+        for y, x in queries:
+            table.p(y, x)
+        entries = len(table.snapshot())
+        with_table = tracemalloc.get_traced_memory()[0]
+        del table
+        gc.collect()
+        held = with_table - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert entries > 10_000
+    assert held / entries < 160
+
+
 def test_p_symmetries():
     table = KLTable()
     for word in enumerate_words(3, 5):
@@ -446,6 +520,21 @@ def test_to_kl_basis_round_trip():
     for z, f in coeffs.items():
         add_scaled(total, table.basis_element(z), f)
     assert total == h
+
+
+def test_expand_triangular_on_a_hand_built_basis():
+    # unitriangular on words of lengths 2, 1, 0; subtracting b_ab makes b, a
+    # word that the input does not hold, and subtracting b_ba makes a
+    basis = {
+        w("ab"): elt(ab="v^-2", b="1"),
+        w("ba"): elt(ba="v^-2", a="v"),
+        w("b"): elt(b="v^-1", e="1"),
+        w("a"): elt(a="v^-1"),
+        w("e"): elt(e="1"),
+    }
+    got = expand_triangular(elt(ba="2v^-2", ab="v^-2"), basis.__getitem__)
+    assert got == elt(ab="1", ba="2", a="-2q", b="-v", e="v")
+    assert list(got) == [w("ab"), w("ba"), w("a"), w("b"), w("e")]
 
 
 # -- correction terms and products ----------------------------------------------

@@ -108,13 +108,13 @@ def test_structure_theorems_check():
 
 
 def test_violations_are_recorded_not_raised():
-    # Corrupt a private memo to prove the sweep records rather than aborts;
+    # Seed a wrong memo value to prove the sweep records rather than aborts;
     # run single-threaded through the internals to control the table.
     from tklwb.positivity import _CHECKS
 
     space, evaluate = _CHECKS["oracle-equivalence"]
     table = KLTable()
-    table._fast[((), w("abc"))] = parse_poly("1+q")  # wrong on purpose
+    table.seed({((), w("abc")): parse_poly("1+q")})  # wrong on purpose
     state = (ID3, table, TwistedKLTable(ID3))
     found = [v for t in space(state, Bounds(3, 3), 10**6) for v in evaluate(state, t)]
     assert found == [
