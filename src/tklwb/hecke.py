@@ -4,8 +4,8 @@ The Hecke algebra with parameter ``q`` over the standard basis ``t_w``; its
 elements are sparse maps from words to Laurent polynomials (`Elt`).  The
 parameter-``q**2`` algebra is its image under ``v -> v**2`` (see `twisted`).
 A generator acts on the algebra and on the module of `twisted` by one kernel,
-`gen_step`, with the rule tables `ALGEBRA_T_S`, `ALGEBRA_T_S_INVERSE` and
-`twisted.MODULE_T_S`.
+`gen_step`, with the rule tables `ALGEBRA_T_S`, `ALGEBRA_T_S_INVERSE`,
+`twisted.MODULE_T_S` and `twisted.MODULE_T_S_INVERSE`.
 
 ``P`` here and ``Psigma`` in `twisted` are built the same way: each is the
 transition matrix from a standard basis to the unique bar-invariant one.
@@ -80,9 +80,9 @@ def gen_step(rules: dict, move, s: int, m: Elt) -> Elt:
     where ``u = move(s, w)`` and ``(a, b) = rules[len(u) - len(w)]``.
 
     The one kernel of the algebra (`ALGEBRA_T_S`, `ALGEBRA_T_S_INVERSE`) and
-    of the module (`twisted.MODULE_T_S`).  ``a`` is never zero; an ``a``
-    spelled `ONE` costs no multiply, and a ``b`` spelled `ZERO` adds no
-    term.  An entry that cancels is dropped.
+    of the module (`twisted.MODULE_T_S`, `twisted.MODULE_T_S_INVERSE`).
+    ``a`` is never zero; an ``a`` spelled `ONE` costs no multiply, and a
+    ``b`` spelled `ZERO` adds no term.  An entry that cancels is dropped.
     """
     out: Elt = {}
     get = out.get

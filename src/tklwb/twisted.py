@@ -5,13 +5,13 @@ parameter-``q**2`` Hecke algebra in which a generator sends a basis element
 ``a_w`` into a two-term combination keyed on how the twist moves ``w``:
 `gen_action` is the generator kernel `hecke.gen_step` with the rule table
 `MODULE_T_S`.  A bar operator compatible with the algebra's bar involution
-acts by ``a_w -> (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}`` (`bar_basis`), and the
-transition matrix from the standard basis to the bar-invariant one defines
-the twisted Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
+acts by ``a_w -> (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}``, and the transition
+matrix from the standard basis to the bar-invariant one defines the twisted
+Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
 
-`hecke` builds only the algebra with parameter ``q``; the parameter-``q**2``
-algebra is its image under ``v -> v**2``, ``t_w -> T_w``, which
-`hecke_action` applies as it acts, so `bar_basis` shares `hecke.t_inverse`.
+With no braid relations ``a_w = T_s a_{w'}`` for ``w = s w' s* != s``, so
+``bar(a_w) = T_s**-1 bar(a_{w'})``: `bar_basis` takes one `gen_step` with
+the rules `MODULE_T_S_INVERSE` per letter pair.
 
 `TwistedKLTable` is the table of `hecke.KLTable` on the module, with
 `lower_twisted` as its interval rule, `bar_basis` as its bar image and
@@ -42,8 +42,6 @@ from .hecke import (
     Q_PLUS_QINV,
     V_PLUS_VINV,
     _Table,
-    add_scaled,
-    bar_t,
     corrected,
     expand_triangular,
     gen_step,
@@ -56,7 +54,6 @@ from .words import (
     _fold,
     bruhat_leq,
     check_twisted_involution,
-    inverse,
     lower_twisted,
     multiply,
     twist,
@@ -74,6 +71,16 @@ MODULE_T_S = {
     -2: (_Q2, _Q2 - ONE),
 }
 
+# ``T_s**-1 = q**-2 T_s + q**-2 - 1``: each rule ``(a, b)`` of `MODULE_T_S`
+# becomes ``(q**-2 a, q**-2 b + q**-2 - 1)``.
+_QINV, _Q2INV = v_power(-2), v_power(-4)
+MODULE_T_S_INVERSE = {
+    2: (_Q2INV, _Q2INV - ONE),
+    1: (_Q2INV + _QINV, _QINV + _Q2INV - ONE),
+    -1: (ONE - _QINV, -_QINV),
+    -2: (ONE, ZERO),
+}
+
 
 def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
     """Action of the standard generator ``T_s`` on a module element: the
@@ -81,25 +88,14 @@ def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
     return gen_step(MODULE_T_S, partial(twist, spec), s, m)
 
 
-def hecke_action(spec: CoxeterSpec, h: Elt, m: Elt) -> Elt:
-    """Act on a module element by the image of an algebra element ``h``
-    under ``v -> v**2``, ``t_u -> T_u``: the parameter-``q**2`` action."""
-    out: Elt = {}
-    for u, f in h.items():
-        acted = m
-        for s in reversed(u):
-            acted = gen_action(spec, s, acted)
-        add_scaled(out, acted, substitute_v_squared(f))
-    return out
-
-
 @lru_cache(maxsize=None)
 def bar_basis(spec: CoxeterSpec, w: Word) -> Elt:
-    """``bar(a_w) = (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}``.
-
-    Returned dicts are shared through the cache; treat them as immutable.
-    """
-    return hecke_action(spec, bar_t(w), {inverse(w): -ONE if len(w) % 2 else ONE})
+    """``bar(a_w) = T_s**-1 bar(a_{w[1:-1]})`` for ``s = w[0]``, and ``-T_s**-1 a_s``
+    at ``w = (s,)``.  Returned dicts are shared through the cache; treat them as immutable."""
+    if not w:
+        return {IDENTITY: ONE}
+    inner = {w: -ONE} if len(w) == 1 else bar_basis(spec, w[1:-1])
+    return gen_step(MODULE_T_S_INVERSE, partial(twist, spec), w[0], inner)
 
 
 class TwistedKLTable(_Table):

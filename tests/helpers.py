@@ -1,8 +1,8 @@
 """Operations only the test suite uses: the product of two algebra
-elements, the bar involutions on whole elements, the dagger
-anti-automorphism, the direct triple product, the difference recurrences of
-the twisted polynomials, and step-by-step references for the closed-form
-products."""
+elements, the parameter-``q**2`` action on the module, the bar involutions
+on whole elements, the dagger anti-automorphism, the direct triple product,
+the difference recurrences of the twisted polynomials, and step-by-step
+references for the closed-form products."""
 
 from tklwb.hecke import (
     Elt,
@@ -15,8 +15,8 @@ from tklwb.hecke import (
     gen_mul_left,
     kl_correction,
 )
-from tklwb.laurent import LaurentPoly, ONE, ZERO, v_power
-from tklwb.twisted import TwistedKLTable, bar_basis
+from tklwb.laurent import LaurentPoly, ONE, ZERO, substitute_v_squared, v_power
+from tklwb.twisted import TwistedKLTable, bar_basis, gen_action
 from tklwb.words import (
     CoxeterSpec,
     IDENTITY,
@@ -39,6 +39,18 @@ def mul(a: Elt, b: Elt) -> Elt:
         for s in reversed(u):
             acted = gen_mul_left(s, acted)
         add_scaled(out, acted, f)
+    return out
+
+
+def hecke_action(spec: CoxeterSpec, h: Elt, m: Elt) -> Elt:
+    """Act on a module element by the image of an algebra element ``h``
+    under ``v -> v**2``, ``t_u -> T_u``: the parameter-``q**2`` action."""
+    out: Elt = {}
+    for u, f in h.items():
+        acted = m
+        for s in reversed(u):
+            acted = gen_action(spec, s, acted)
+        add_scaled(out, acted, substitute_v_squared(f))
     return out
 
 

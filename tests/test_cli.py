@@ -56,11 +56,12 @@ def test_mult(capsys):
 
 
 @pytest.mark.parametrize(
-    "gens, star, max_rho", [(3, "id", 6), (3, "(a b)", 5), (4, "(a b)(c d)", 4)]
+    "gens, star, max_rho", [(3, "id", 6), (3, "(a b)", 6), (4, "(a b)(c d)", 5)]
 )
 def test_mult_prints_the_coefficient_expansion(capsys, gens, star, max_rho):
-    # mult prints the closed form; it must agree byte for byte with cs_action,
-    # whose oracle rows bound the ranks that run in a few seconds
+    # mult prints the closed form; it must agree byte for byte with cs_action.
+    # The CLI calls bound the ranks that run in a few seconds; CI's
+    # `verify mult-formula` compares the two routes at gens 4, rank 6.
     from tklwb.twisted import TwistedKLTable
     from tklwb.words import CoxeterSpec, enumerate_twisted_involutions, format_word
 

@@ -4,16 +4,17 @@ past the bounds of the ``structure-theorems`` sweep (ell <= 4, rho <= 3 at
 twisted involutions of rank 3-5 on the right, 2-5 generators and any
 diagram involution.  Also against their step-by-step references in
 ``helpers`` (operands of length or rank 0-5), the direct routes against
-letter-by-letter products, and the one check of ``twisted_product`` on its
+letter-by-letter products, ``cs_action`` against the closed form of
+``C_s A_y`` (rank 0-5), and the one check of ``twisted_product`` on its
 right operand."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import kl_product_reference, mul, twisted_product_reference
+from helpers import hecke_action, kl_product_reference, mul, twisted_product_reference
 from tklwb.cli import main
 from tklwb.hecke import KLTable, expand_triangular, kl_product, kl_product_direct
-from tklwb.twisted import TwistedKLTable, hecke_action, twisted_product, twisted_product_direct
+from tklwb.twisted import TwistedKLTable, twisted_product, twisted_product_direct
 from tklwb.words import (
     IDENTITY,
     CoxeterSpec,
@@ -113,6 +114,17 @@ def test_twisted_product_checks_its_right_operand(data):
     else:
         with pytest.raises(NotTwistedInvolution):
             twisted_product(spec, x, y)
+
+
+@_SETTINGS
+@given(st.data())
+def test_cs_action_matches_the_closed_form(data):
+    """``C_s A_y`` from the oracle's coefficient data against the closed form."""
+    spec = data.draw(specs())
+    s = data.draw(st.integers(0, spec.gen_count - 1))
+    # the fold of a reduced word of length 0-5 is a twisted involution of rank 0-5
+    y = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0)), IDENTITY)
+    assert TwistedKLTable(spec).cs_action(s, y) == twisted_product(spec, (s,), y)
 
 
 def test_structure_of_a_non_involution_is_a_usage_error(capsys):

@@ -1,15 +1,25 @@
 """The twisted-involution module: action, bar, twisted KL data, products."""
 
+from functools import partial
+
 import pytest
 
-from helpers import DiffTable, alternating, alternating_twist, bar_hecke, bar_module
-from tklwb.hecke import KLTable, expand_triangular, t_inverse
+from helpers import (
+    DiffTable,
+    alternating,
+    alternating_twist,
+    bar_hecke,
+    bar_module,
+    hecke_action,
+)
+from tklwb.hecke import KLTable, bar_t, expand_triangular, gen_step, t_inverse
 from tklwb.laurent import ONE, Q, V, ZERO, parse_poly, substitute_q_squared, v_power
 from tklwb.twisted import (
+    MODULE_T_S,
+    MODULE_T_S_INVERSE,
     TwistedKLTable,
     bar_basis,
     gen_action,
-    hecke_action,
     twisted_correction,
     twisted_product,
     twisted_product_direct,
@@ -149,6 +159,39 @@ def test_bar_is_compatible_with_the_action():
                     spec, bar_hecke({(s,): ONE}), bar_module(spec, {word: ONE})
                 )
                 assert lhs == rhs
+
+
+def test_inverse_rules_come_from_the_quadratic_relation():
+    # T_s**-1 = q**-2 T_s + q**-2 - 1, with q**2 = v**4
+    q2_inv = v_power(-4)
+    assert MODULE_T_S_INVERSE.keys() == MODULE_T_S.keys()
+    for k, (a, b) in MODULE_T_S.items():
+        assert MODULE_T_S_INVERSE[k] == (q2_inv * a, q2_inv * b + q2_inv - ONE)
+    # gen_step tests these two by identity
+    assert MODULE_T_S_INVERSE[-2][0] is ONE and MODULE_T_S_INVERSE[-2][1] is ZERO
+
+
+def test_inverse_rules_undo_the_action():
+    for spec in SPECS:
+        move = partial(twist, spec)
+        for word in enumerate_twisted_involutions(spec, 3):
+            m = {word: ONE}
+            for s in range(spec.gen_count):
+                assert gen_step(MODULE_T_S_INVERSE, move, s, gen_action(spec, s, m)) == m
+                assert gen_action(spec, s, gen_step(MODULE_T_S_INVERSE, move, s, m)) == m
+
+
+@pytest.mark.parametrize(
+    "gens, star, max_rho", [(3, "id", 5), (3, "(a b)", 5), (4, "(a b)(c d)", 4)]
+)
+def test_bar_basis_matches_the_defining_formula(gens, star, max_rho):
+    # bar(a_w) = (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}, acting term by term
+    spec = CoxeterSpec.make(gens, star)
+    for word in enumerate_twisted_involutions(spec, max_rho):
+        sign = -ONE if len(word) % 2 else ONE
+        got = bar_basis(spec, word)
+        assert got == hecke_action(spec, bar_t(word), {inverse(word): sign}), word
+        assert all(f.n for f in got.values()), word
 
 
 # -- oracle ----------------------------------------------------------------------
