@@ -30,11 +30,11 @@ from .twisted import TwistedKLTable, twisted_product
 from .words import (
     CapExceeded,
     CoxeterSpec,
+    DEFAULT_CAP,
     GeneratorError,
     Word,
     bruhat_leq,
     bruhat_leq_twisted,
-    check_twisted_involution,
     ell_star,
     enumerate_twisted_involutions,
     enumerate_words,
@@ -79,12 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     parser.add_argument("--cache", help="path of a polynomial cache file to reuse and update")
     parser.add_argument(
-        "--cap", type=_int_at_least(0), default=10**6, help="element cap for enumerations"
+        "--cap", type=_int_at_least(0), default=DEFAULT_CAP, help="element cap for enumerations"
     )
     parser.add_argument(
         "--jobs", type=_int_at_least(1), default=1, help="worker threads for verify sweeps"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bounds = Bounds()
 
     p = sub.add_parser("kl", help="Kazhdan-Lusztig polynomial P[y, w]")
     p.add_argument("y")
@@ -112,12 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("check", type=str.lower, choices=CHECK_NAMES)
-    p.add_argument("--max-rho", type=_int_at_least(0), default=4)
-    p.add_argument("--max-ell", type=_int_at_least(0), default=4)
+    p.add_argument("--max-rho", type=_int_at_least(0), default=bounds.max_rho)
+    p.add_argument("--max-ell", type=_int_at_least(0), default=bounds.max_ell)
 
     p = sub.add_parser("dump", help="write P/Psigma/h/hsigma tables in the cache format")
-    p.add_argument("--max-rho", type=_int_at_least(0), default=4)
-    p.add_argument("--max-ell", type=_int_at_least(0), default=4)
+    p.add_argument("--max-rho", type=_int_at_least(0), default=bounds.max_rho)
+    p.add_argument("--max-ell", type=_int_at_least(0), default=bounds.max_ell)
     p.add_argument("--out", help="output path (default: stdout)")
 
     return parser
@@ -282,15 +283,15 @@ def _cmd_kl(args, spec, table, ttable, out) -> int:
 
 
 def _cmd_tkl(args, spec, table, ttable, out) -> int:
-    y = check_twisted_involution(spec, parse_word(args.y, spec.gen_count))
-    w = check_twisted_involution(spec, parse_word(args.w, spec.gen_count))
+    y = parse_word(args.y, spec.gen_count)
+    w = parse_word(args.w, spec.gen_count)
     _emit_poly(args, out, y, w, ttable.p(y, w))
     return 0
 
 
 def _cmd_pm(args, spec, table, ttable, out) -> int:
-    y = check_twisted_involution(spec, parse_word(args.y, spec.gen_count))
-    w = check_twisted_involution(spec, parse_word(args.w, spec.gen_count))
+    y = parse_word(args.y, spec.gen_count)
+    w = parse_word(args.w, spec.gen_count)
     pm = kl_halves(table, ttable, y, w, oracle=False)
     if args.format == "json":
         halves = {"plus": str(pm.plus), "minus": str(pm.minus)}
@@ -305,11 +306,10 @@ def _cmd_pm(args, spec, table, ttable, out) -> int:
 
 def _cmd_structure(args, spec, table, ttable, out) -> int:
     x = parse_word(args.x, spec.gen_count)
+    y = parse_word(args.y, spec.gen_count)
     if args.untwisted:
-        y = parse_word(args.y, spec.gen_count)
         _emit_terms(args, out, "c", kl_product(x, y))
     else:
-        y = check_twisted_involution(spec, parse_word(args.y, spec.gen_count))
         _emit_terms(args, out, "A", twisted_product(spec, x, y))
     return 0
 
@@ -318,7 +318,7 @@ def _cmd_mult(args, spec, table, ttable, out) -> int:
     s = parse_word(args.s, spec.gen_count)
     if len(s) != 1:
         raise GeneratorError(f"mult expects a single generator, got {args.s!r}")
-    w = check_twisted_involution(spec, parse_word(args.w, spec.gen_count))
+    w = parse_word(args.w, spec.gen_count)
     _emit_terms(args, out, "A", twisted_product(spec, s, w))
     return 0
 

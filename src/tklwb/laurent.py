@@ -2,13 +2,13 @@
 
 A value is packed by Kronecker substitution: ``v**low`` times the Python
 integer ``n = sum a_k 2**(64 k)``, read as signed 64-bit digits ``a_k``, the
-coefficient of ``v**(low + k)``.  Add and subtract are then one shift and
-one integer add, multiply is one integer product, and ``==`` compares
-``(low, n)``: the form is canonical because the lowest digit is never zero
-(zero is ``(0, 0)``) and a digit string with every digit in
-``(-2**63, 2**63)`` is the only one for its integer.  Only the leaves
-(``str``, `LaurentPoly.coefficient`, `LaurentPoly.bar`, the sign and
-support tests) decode digits.
+coefficient of ``v**(low + k)``.  Add is then one shift and one integer
+add, subtract adds the negation, multiply is one integer product, and
+``==`` compares ``(low, n)``: the form is canonical because the lowest
+digit is never zero (zero is ``(0, 0)``) and a digit string with every
+digit in ``(-2**63, 2**63)`` is the only one for its integer.  Only the
+leaves (``str``, `LaurentPoly.coefficient`, `LaurentPoly.bar`, the sign
+and support tests) decode digits.
 
 Coefficients must have magnitude below ``2**63``.  The constructor and
 `parse_poly` reject a larger one with ``ValueError``; arithmetic carries an
@@ -110,8 +110,7 @@ def _refit(p: "LaurentPoly", r: "LaurentPoly", op: str) -> int:
         if op == "*":
             pairs = [(i + j, a * b) for i, a in p.c.items() for j, b in r.c.items()]
         else:
-            sign = -1 if op == "-" else 1
-            pairs = [*p.c.items(), *((k, sign * b) for k, b in r.c.items())]
+            pairs = [*p.c.items(), *r.c.items()]
         try:
             bound = LaurentPoly(pairs).bound
         except ValueError:
@@ -152,7 +151,7 @@ class LaurentPoly:
 
     __hash__ = None
 
-    # The three operators below build their result inline rather than by
+    # `__add__` and `__mul__` build their result inline rather than by
     # `_make`: they are the hot path, and a call per result would cost more
     # than the integer arithmetic.
 
@@ -195,29 +194,7 @@ class LaurentPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = const(other)
-        bound = self.bound + other.bound
-        if bound >= _HALF:
-            bound = _refit(self, other, "-")
-        low = self.low
-        d = other.low - low
-        if d > 0:
-            if not self.n:
-                return _make(other.low, -other.n, other.bound)
-            n = self.n - (other.n << (_DIGIT * d))
-        elif d < 0:
-            if not other.n:
-                return self
-            low = other.low
-            n = (self.n << (-_DIGIT * d)) - other.n
-        else:
-            n = self.n - other.n
-            if not n & _MASK:
-                return _strip(low, n, bound)
-        p = _new(LaurentPoly)
-        p.low = low
-        p.n = n
-        p.bound = bound
-        return p
+        return self + _make(other.low, -other.n, other.bound)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self).__add__(other)
@@ -298,15 +275,8 @@ class LaurentPoly:
         return not any(_digits(self.n)[1::2])
 
     def __str__(self) -> str:
-        n, low = self.n, self.low
-        if -_HALF < n < _HALF:  # one term, or zero
-            if not n:
-                return "0"
-            if low >= 0 and not low & 1:
-                return _term(n, low >> 1, "q", "")
-            return _term(n, low, "v", "")
-        digits = _digits(n)
-        if low >= 0 and not low & 1 and not any(digits[1::2]):
+        digits, low = _digits(self.n), self.low
+        if self.is_q_poly():
             var, step, low = "q", 2, low >> 1
         else:
             var, step = "v", 1
@@ -315,7 +285,7 @@ class LaurentPoly:
             a = digits[i]
             if a:
                 parts.append(_term(a, low + i // step, var, "+" if parts else ""))
-        return "".join(parts)
+        return "".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.c!r})"
@@ -340,9 +310,7 @@ Q = _make(2, 1, 1)
 
 
 def const(n: int) -> LaurentPoly:
-    if not -_HALF < n < _HALF:
-        raise ValueError(f"coefficient {n} is out of range: magnitude 2^63 or more")
-    return _make(0, n, abs(n)) if n else ZERO
+    return _from_terms({0: n} if n else {})
 
 
 def v_power(k: int) -> LaurentPoly:

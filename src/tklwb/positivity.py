@@ -107,8 +107,8 @@ def kl_halves(
     The parity congruence must hold first; its failure raises `ParityError`
     (which the sweeps record as a counterexample).
     """
+    ps = (ttable.p_oracle if oracle else ttable.p)(y, w)  # first: it checks the words
     p = (table.p_oracle if oracle else table.p)(y, w)
-    ps = (ttable.p_oracle if oracle else ttable.p)(y, w)
     return PlusMinusPair(halve_sum(p, ps, 1), halve_sum(p, ps, -1))
 
 

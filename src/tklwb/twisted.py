@@ -57,6 +57,7 @@ from .words import (
     lower_twisted,
     multiply,
     twist,
+    twist_word,
 )
 
 _Q2 = v_power(4)
@@ -272,7 +273,6 @@ def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
     ``y`` share the seam descent; otherwise the twist-fold class plus
     corrections at ``n`` and ``n + 1``.
     """
-    check_twisted_involution(spec, y)
     n = len(x)
     if x and not y and spec.star[x[-1]] == x[-1]:
         letters, factor, js = x, V_PLUS_VINV, (n,)
@@ -280,9 +280,7 @@ def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
         letters, factor, js = x[:-1], Q_PLUS_QINV, (n,)
     else:
         letters, factor, js = x, ONE, (n, n + 1)
-    base = y
-    for s in reversed(letters):
-        base = twist(spec, s, base)
+    base = twist_word(spec, letters, y)  # checks y
     return corrected(base, factor, js, partial(twisted_correction, spec))
 
 

@@ -185,8 +185,9 @@ def twist(spec: CoxeterSpec, s: int, w: Word) -> Word:
     **``w`` must be a twisted involution; on any other word the result is
     undefined.**  The recurrences and the closed-form products twist on
     every step, so the check sits at the start of a chain of twists:
-    `twist_word`, `twisted.twisted_product` and `TwistedKLTable.p` check the
-    words they start from, and nothing they reach is checked again.
+    `twist_word` (so `twisted.twisted_product`) and `TwistedKLTable.p`
+    check the words they start from, and neither what they reach nor their
+    callers, the command line included, check them again.
     """
     if w and w[0] == s:
         return w[1:-1]

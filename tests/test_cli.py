@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from tklwb.cli import main
+from tklwb.cli import build_parser, main
+from tklwb.hecke import KLTable
+from tklwb.positivity import Bounds
+from tklwb.words import DEFAULT_CAP
 
 
 def run(capsys, *argv):
@@ -162,6 +165,39 @@ def test_exit_codes(capsys):
     # resource cap
     code, _ = run(capsys, "--gens", "3", "--star", "id", "--cap", "10", "enum", "9")
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tkl", "e", "ab"],
+        ["tkl", "ab", "e"],
+        ["pm", "e", "ab"],
+        ["pm", "ab", "abcba"],
+        ["mult", "a", "ab"],
+        ["structure", "a", "ab"],
+    ],
+    ids=" ".join,
+)
+def test_a_non_involution_fails_before_any_recurrence(capsys, monkeypatch, argv):
+    """The twisted table and the closed form check the words they start
+    from; the command line adds no check of its own."""
+
+    def never(self, y, w):
+        raise AssertionError("the KL recurrence ran on an unchecked word")
+
+    monkeypatch.setattr(KLTable, "p", never)
+    assert main(["--gens", "3", *argv]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "tklwb: ab does not satisfy w^-1 == w*\n")
+
+
+def test_defaults_have_one_source():
+    parser = build_parser()
+    for argv in (["verify", "a"], ["dump"]):
+        args = parser.parse_args(["--gens", "3", *argv])
+        assert args.cap == DEFAULT_CAP
+        assert Bounds(args.max_rho, args.max_ell) == Bounds()
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

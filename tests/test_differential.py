@@ -6,13 +6,15 @@ diagram involution.  Also against their step-by-step references in
 ``helpers`` (operands of length or rank 0-5), the direct routes against
 letter-by-letter products, ``cs_action`` against the closed form of
 ``C_s A_y`` (rank 0-5), and the one check of ``twisted_product`` on its
-right operand."""
+right operand.  Metamorphic: the recurrence's ``P`` under inverting both
+words and under relabelling the generators (length 0-8), and its ``Psigma``
+under relabellings that commute with ``star`` (rank 0-6), each on the
+whole row of ``w``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import hecke_action, kl_product_reference, mul, twisted_product_reference
-from tklwb.cli import main
 from tklwb.hecke import KLTable, expand_triangular, kl_product, kl_product_direct
 from tklwb.twisted import TwistedKLTable, twisted_product, twisted_product_direct
 from tklwb.words import (
@@ -37,10 +39,11 @@ def specs(draw):
 
 
 @st.composite
-def reduced_words(draw, gens, shortest=3):
-    """A reduced word of length ``shortest``-5: no letter repeats its neighbour."""
+def reduced_words(draw, gens, shortest=3, longest=5):
+    """A reduced word of length ``shortest``-``longest``: no letter repeats
+    its neighbour."""
     word = []
-    for _ in range(draw(st.integers(shortest, 5))):
+    for _ in range(draw(st.integers(shortest, longest))):
         s = draw(st.integers(0, gens - 1))
         if word and s == word[-1]:
             s = (s + 1) % gens
@@ -127,6 +130,53 @@ def test_cs_action_matches_the_closed_form(data):
     assert TwistedKLTable(spec).cs_action(s, y) == twisted_product(spec, (s,), y)
 
 
-def test_structure_of_a_non_involution_is_a_usage_error(capsys):
-    assert main(["--gens", "3", "structure", "a", "ab"]) == 2
-    assert capsys.readouterr().err == "tklwb: ab does not satisfy w^-1 == w*\n"
+# -- metamorphic: symmetries of the recurrence ----------------------------------
+
+
+def relabel(label, u):
+    return tuple(label[s] for s in u)
+
+
+@_SETTINGS
+@given(st.data())
+def test_p_is_unchanged_by_inverting_both_words(data):
+    gens = data.draw(st.integers(2, 5))
+    w = data.draw(reduced_words(gens, 0, 8))
+    table, inverted = KLTable(), KLTable()
+    for y in table.interval(w):
+        assert table.p(y, w) == inverted.p(y[::-1], w[::-1])
+
+
+@_SETTINGS
+@given(st.data())
+def test_p_is_unchanged_by_relabelling_the_generators(data):
+    gens = data.draw(st.integers(2, 5))
+    label = data.draw(st.permutations(range(gens)))
+    w = data.draw(reduced_words(gens, 0, 8))
+    table, relabelled = KLTable(), KLTable()
+    for y in table.interval(w):
+        assert relabelled.p(relabel(label, y), relabel(label, w)) == table.p(y, w)
+
+
+@_SETTINGS
+@given(st.data())
+def test_psigma_is_unchanged_by_relabellings_that_commute_with_star(data):
+    """A relabelling commutes with ``star`` when it permutes the fixed
+    generators among themselves and the swapped pairs among themselves,
+    either way round; it then maps twisted involutions onto them."""
+    spec = data.draw(specs())
+    star = spec.star
+    fixed = [s for s in range(spec.gen_count) if star[s] == s]
+    pairs = [(s, star[s]) for s in range(spec.gen_count) if s < star[s]]
+    label = list(range(spec.gen_count))
+    for s, t in zip(fixed, data.draw(st.permutations(fixed))):
+        label[s] = t
+    for (s, s2), (t, t2) in zip(pairs, data.draw(st.permutations(pairs))):
+        if data.draw(st.booleans()):
+            t, t2 = t2, t
+        label[s], label[s2] = t, t2
+    assert all(label[star[s]] == star[label[s]] for s in range(spec.gen_count))
+    w = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0, 6)), IDENTITY)
+    ttable, relabelled = TwistedKLTable(spec), TwistedKLTable(spec)
+    for y in ttable.interval(w):
+        assert relabelled.p(relabel(label, y), relabel(label, w)) == ttable.p(y, w)

@@ -1,5 +1,7 @@
 """Exact Laurent polynomial arithmetic against a dense reference."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +68,16 @@ def test_add_matches_dense_reference(p, r):
 @given(polys, polys)
 def test_mul_matches_dense_reference(p, r):
     assert dense(p * r) == dense_mul(dense(p), dense(r))
+
+
+@given(polys, polys)
+def test_sub_matches_dense_reference(p, r):
+    diff = p - r
+    assert dense(diff) == dense_add(dense(p), [-x for x in dense(r)])
+    assert diff == p + (-r)
+    assert diff.bound >= sum(map(abs, diff.c.values()))
+    assert p - 3 == p + const(-3)
+    assert 3 - p == const(3) + (-p)
 
 
 @given(polys, polys)
@@ -144,6 +156,12 @@ def test_str_examples():
     assert str(2 * Q) == "2q"
     assert str(V) == "v"
     assert str(ONE - Q + Q * Q) == "1-q+q^2"
+    # single terms take the same q-form test as any other value
+    assert str(-Q) == "-q"
+    assert str(v_power(-3)) == "v^-3"
+    assert str(v_power(-4)) == "v^-4"  # even, but negative: the v form
+    assert str(const(-7)) == "-7"
+    assert str(5 * v_power(3)) == "5v^3"
 
 
 def test_parse_examples():
@@ -257,6 +275,10 @@ def test_coefficients_past_the_range_are_rejected():
             parse_poly(f"1+{bad}q")
     assert parse_poly(f"-{FITS}v").coefficient(1) == -FITS
     assert LaurentPoly([(0, 2**63), (0, -1)]) == const(FITS)
+    for bad in (2**63, -(2**63)):
+        msg = f"coefficient {bad} is out of range: magnitude 2^63 or more"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            const(bad)
 
 
 def test_a_product_past_the_range_raises():
