@@ -76,13 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="id",
         help="diagram involution: 'id' or disjoint transpositions like '(a b)'",
     )
-    parser.add_argument("--format", choices=("text", "json", "tsv"), default="text")
+    parser.add_argument(
+        "--format", choices=("text", "json", "tsv"), default="text",
+        help="output of kl, tkl, pm, structure, mult and enum (verify: JSON, dump: cache format)",
+    )
     parser.add_argument("--cache", help="path of a polynomial cache file to reuse and update")
     parser.add_argument(
         "--cap", type=_int_at_least(0), default=DEFAULT_CAP, help="element cap for enumerations"
     )
     parser.add_argument(
-        "--jobs", type=_int_at_least(1), default=1, help="worker threads for verify sweeps"
+        "--jobs", type=_int_at_least(1), default=1, help="worker threads for verify (only)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     bounds = Bounds()

@@ -15,7 +15,7 @@ basis element and products ``t_u b_y``).  There are two independent routes:
 * ``oracle_row`` solves for the bar-invariant basis element of ``w``
   directly: walking the Bruhat interval downward, it extracts at each index
   the unique coefficient with strictly negative v-support, by no recurrence.
-* ``p`` evaluates the universal recurrence (`KLTable._step`) on single
+* ``p`` evaluates the universal recurrence (`_Table._step`) on single
   values; `basis_element` applies it to whole elements with `gen_step`.
   The tests hold the basis elements to ``p``, and ``oracle-equivalence``
   holds ``p`` to the oracle.
@@ -203,7 +203,7 @@ def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:
     return out
 
 
-_MAX_DEPTH = 200  # recurrence levels per evaluation, two frames each
+_MAX_DEPTH = 200  # recurrence levels per evaluation, two frames each (three twisted)
 
 
 class _TooDeep(Exception):
@@ -242,17 +242,17 @@ class MemoView(Mapping):
 class _Table:
     """The memos of a Kazhdan-Lusztig table and what is built from them.
 
-    A subclass gives one recurrence ``_step`` (which reads lower pairs by
-    ``_p``), the interval rule ``_below(w)`` (the indices below ``w``, in
-    (length, lex) order), the bar image ``_bar(x)`` of the standard basis
-    element of ``x``, the generator action ``_gen`` with its ``_move``, the
-    words ``_minus`` that `_build` subtracts and the ``name`` of its
-    polynomials in oracle error messages.  The recurrence memo and the oracle
-    rows are kept separate so the two routes stay independent.  Returned
-    rows, basis elements, products and intervals are shared through the
-    memos; treat them as immutable.  Every
-    caller reads intervals here, so each is built once per table, and its
-    words are the tuples of the memo keys.
+    A subclass gives the one recurrence (`_step`, `_build`) its ``_lead``
+    and the slice ``_strip`` of a descent ``s = w[0]`` (``w[_strip]`` is
+    ``_move(s, w)``), the interval rule ``_below(w)`` (in (length, lex)
+    order), the bar image ``_bar(x)`` of the standard basis element of
+    ``x``, the generator action ``_gen`` with its ``_move`` and the ``name``
+    of its polynomials in oracle error messages.  The recurrence memo and
+    the oracle rows are kept separate so the two routes stay independent.
+    Returned rows, basis elements, products and intervals are shared through
+    the memos; treat them as immutable.  Every caller reads intervals here,
+    so each is built once per table, and its words are the tuples of the
+    memo keys.
 
     The recurrence memo is kept in rows ``w -> {y -> value}``, keyed by the
     table's one tuple per word, and holds one object per distinct value: a
@@ -351,18 +351,46 @@ class _Table:
 
     def _build(self, w: Word) -> Elt:
         """`_step`'s recurrence on a whole element: ``v**(len(u) - len(w))
-        (e_s + 1) b_u`` less `_minus`, where ``s = w[0]``, ``u = _move(s, w)``
+        (e_s + 1) b_u`` less `_minus`, where ``s = w[0]``, ``u = w[_strip]``
         and ``e_s = _gen(s, .)``; ``v**-len(w)`` on the interval if ``len(w) <= 2``."""
         if len(w) <= 2:
             return dict.fromkeys(self.interval(w), v_power(-len(w)))
         s = w[0]
-        u = self._move(s, w)
+        u = w[self._strip]
         below, lead, out = self.basis_element(u), v_power(len(u) - len(w)), {}
         add_scaled(out, self._gen(s, below), lead)
         add_scaled(out, below, lead)
         for z in self._minus(s, u):
             add_scaled(out, self.basis_element(z), -ONE)
         return out
+
+    def _minus(self, s: int, w1: Word) -> tuple[Word, ...]:
+        """For `_build`: ``w2 = w1[_strip]`` when ``s`` is again its descent."""
+        w2 = w1[self._strip]
+        return (w2,) if w2[:1] == (s,) else ()
+
+    def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
+        """``[y, w]`` by descent reduction plus the universal recurrence.
+
+        With ``s = w[0]``, ``w1 = w[_strip]``, ``w2 = w1[_strip]`` and ``s``
+        not a descent of ``y`` (else ``[y, w] = [y[_strip], w]``):
+
+            [y, w] = [y, w1] + _lead [s # y, w1] - d _lead [y, w2]
+
+        where ``d`` is 1 exactly if ``s`` is again a descent of ``w2``.
+        """
+        p = self._p
+        s = w[0]
+        strip = self._strip
+        if y and y[0] == s:
+            return p(y[strip], w, depth)
+        w1 = w[strip]
+        w2 = w1[strip]
+        lead = self._lead
+        res = p(y, w1, depth) + lead * p(self._move(s, y), w1, depth)
+        if w2 and w2[0] == s:
+            res = res - lead * p(y, w2, depth)
+        return res
 
     def t_times(self, u: Word, y: Word) -> Elt:
         """``t_u`` (``T_u`` on the module) times the basis element of ``y``,
@@ -402,39 +430,16 @@ class KLTable(_Table):
     """
 
     name = "P"
+    _lead = Q
+    _strip = slice(1, None)  # s w = w[1:] on a left descent s = w[0]
     _gen = staticmethod(gen_mul_left)
     _move = staticmethod(_left)
 
     def _below(self, w: Word) -> tuple[Word, ...]:
         return lower_words(w)
 
-    def _minus(self, s: int, sw: Word) -> tuple[Word, ...]:
-        """``rsw = sw[1:]`` when ``s`` is again its left descent (`_build`)."""
-        return (sw[1:],) if sw[1:2] == (s,) else ()
-
     def _bar(self, x: Word) -> Elt:
         return bar_t(x)
-
-    def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
-        """``P[y, w]`` by descent reduction plus the universal recurrence.
-
-        With ``s, r`` the first two letters of ``w`` and ``s`` not a left
-        descent of ``y``:
-
-            P[y, w] = P[y, sw] + q P[sy, sw] - d q P[y, rsw]
-
-        where ``d`` is 1 exactly if ``s`` is again a left descent of ``rsw``.
-        """
-        p = self._p
-        s = w[0]
-        if y and y[0] == s:
-            return p(y[1:], w, depth)
-        sw = w[1:]
-        rsw = w[2:]
-        res = p(y, sw, depth) + Q * p((s,) + y, sw, depth)
-        if rsw and rsw[0] == s:
-            res = res - Q * p(y, rsw, depth)
-        return res
 
 
 def kl_correction(w: Word, j: int) -> dict[Word, LaurentPoly]:

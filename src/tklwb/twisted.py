@@ -17,10 +17,11 @@ the rules `MODULE_T_S_INVERSE` per letter pair.
 `lower_twisted` as its interval rule, `bar_basis` as its bar image and
 `gen_action` building its basis elements (``A_w``, the distinguished basis)
 and products ``T_u A_y``.  As on the algebra side there are two independent
-routes to ``Psigma``: the oracle row and ``p`` (descent reduction plus the
-universal recurrence, `_step`, which `basis_element` applies to whole
-elements).  The generic coefficient recurrence is circular if applied
-naively; it is used only as a checked identity (see `positivity`).
+routes to ``Psigma``: the oracle row and ``p`` (the recurrence of
+`hecke._Table` with ``q**2`` and ``w[1:-1]``, plus two star-fixed boundary
+terms, which `basis_element` applies to whole elements).  The generic
+coefficient recurrence is circular if applied naively; it is used only as a
+checked identity (see `positivity`).
 
 ``C_x A_y`` in the distinguished basis has a closed combinatorial expansion
 (`twisted_product`, with the correction terms of `twisted_correction`),
@@ -107,6 +108,8 @@ class TwistedKLTable(_Table):
     """
 
     name = "Psigma"
+    _lead = _Q2
+    _strip = slice(1, -1)  # s # w = w[1:-1] on a descent s = w[0]
 
     def __init__(self, spec: CoxeterSpec) -> None:
         super().__init__()
@@ -118,12 +121,10 @@ class TwistedKLTable(_Table):
         return lower_twisted(self.spec, w)
 
     def _minus(self, s: int, w1: Word) -> tuple[Word, ...]:
-        """For `_build`: ``w1[0] # w1`` when ``s`` is its descent, and ``(s,)``
-        when ``len(w1) == 1`` and ``s`` is star-fixed."""
-        if len(w1) == 1:
-            return ((s,),) if self.spec.star[s] == s else ()
-        w2 = twist(self.spec, w1[0], w1)
-        return (w2,) if w2 and w2[0] == s else ()
+        """`_Table._minus`, and ``(s,)`` when ``len(w1) == 1`` and ``s`` is star-fixed."""
+        if len(w1) == 1 and self.spec.star[s] == s:
+            return ((s,),)
+        return super()._minus(s, w1)
 
     def _bar(self, x: Word) -> Elt:
         return bar_basis(self.spec, x)
@@ -143,32 +144,15 @@ class TwistedKLTable(_Table):
         return got
 
     def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
-        """``Psigma[y, w]`` by descent reduction plus the universal recurrence.
-
-        With ``s`` the descent of ``w``, ``w1 = s # w``, ``r`` the descent of
-        ``w1``, ``w2 = r # w1`` and ``s`` not a descent of ``y``:
-
-            Psigma[y, w] = Psigma[y, w1] + q^2 Psigma[s # y, w1]
-                           - d q^2 Psigma[s # y, w2]
-                           + d' q (Psigma[e, w1] - Psigma[s, w1])
-
-        where ``d`` is 1 when ``s`` is a descent of ``w2`` and ``d'`` is 1
-        when ``y`` is the identity, ``s`` is star-fixed and ``w != s r s``.
-        """
-        spec = self.spec
-        p = self._p
+        """`_Table._step` plus the boundary term
+        ``q (Psigma[e, w1] - Psigma[s, w1])`` with ``s = w[0]`` and
+        ``w1 = w[1:-1]``, when ``y`` is the identity, ``s`` is star-fixed and
+        ``w != s r s`` (that is, ``len(w) != 3``)."""
+        res = super()._step(y, w, depth)
         s = w[0]
-        if y and y[0] == s:
-            return p(twist(spec, s, y), w, depth)
-        w1 = twist(spec, s, w)
-        r = w1[0]
-        w2 = twist(spec, r, w1)
-        sy = twist(spec, s, y)
-        res = p(y, w1, depth) + _Q2 * p(sy, w1, depth)
-        if w2 and w2[0] == s:
-            res = res - _Q2 * p(sy, w2, depth)
-        if not y and spec.star[s] == s and w != (s, r, s):
-            res = res + Q * (p(IDENTITY, w1, depth) - p((s,), w1, depth))
+        if not y and len(w) != 3 and self.spec.star[s] == s:
+            w1 = w[1:-1]
+            res = res + Q * (self._p(IDENTITY, w1, depth) - self._p((s,), w1, depth))
         return res
 
     # -- top coefficient data -----------------------------------------------

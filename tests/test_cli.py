@@ -510,23 +510,48 @@ def test_verify_jobs_flag(capsys):
     assert r1 == r2
 
 
-def test_saved_cache_bytes_are_pinned(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "star, queries, expected, rows",
+    [
+        (
+            "(a b)",
+            [["kl", "e", "abcba"], ["tkl", "e", "bcabca"]],  # a rank-3 twisted involution
+            "1+q\n1+q\n",
+            b"P\te\tcba\t1\n"
+            b"P\te\tbcba\t1\n"
+            b"P\ta\tbcba\t1\n"
+            b"P\te\tabcba\t1+q\n"
+            b"Psig\te\tcabc\t1+q\n"
+            b"Psig\te\tbcabca\t1+q\n",
+        ),
+        (
+            "id",  # every letter star-fixed: the twisted recurrence's boundary term
+            [["tkl", "e", "abcabcbacba"]],
+            "1+q+5q^2+7q^3+2q^4\n",
+            b"Psig\te\tbcb\t1\n"
+            b"Psig\te\tabcba\t1+q\n"
+            b"Psig\ta\tabcba\t1+q\n"
+            b"Psig\tb\tabcba\t1\n"
+            b"Psig\tc\tabcba\t1\n"
+            b"Psig\te\tcabcbac\t1+q+2q^2\n"
+            b"Psig\ta\tcabcbac\t1+q\n"
+            b"Psig\tb\tcabcbac\t1\n"
+            b"Psig\te\tbcabcbacb\t1+q+4q^2+2q^3\n"
+            b"Psig\ta\tbcabcbacb\t1+q\n"
+            b"Psig\te\tabcabcbacba\t1+q+5q^2+7q^3+2q^4\n",
+        ),
+    ],
+    ids=["(a b)", "id"],
+)
+def test_saved_cache_bytes_are_pinned(tmp_path, capsys, star, queries, expected, rows):
     """`save_cache` writes its rows through the writer `dump` uses; these
     bytes pin the cache format."""
     cache = tmp_path / "cache.tsv"
-    args = ["--gens", "3", "--star", "(a b)", "--cache", str(cache)]
-    assert main(args + ["kl", "e", "abcba"]) == 0
-    assert main(args + ["tkl", "e", "bcabca"]) == 0  # a rank-3 twisted involution
-    assert capsys.readouterr().out == "1+q\n1+q\n"
-    assert cache.read_bytes() == (
-        b"tklwb-cache v1 gens=3 star=(a b)\n"
-        b"P\te\tcba\t1\n"
-        b"P\te\tbcba\t1\n"
-        b"P\ta\tbcba\t1\n"
-        b"P\te\tabcba\t1+q\n"
-        b"Psig\te\tcabc\t1+q\n"
-        b"Psig\te\tbcabca\t1+q\n"
-    )
+    args = ["--gens", "3", "--star", star, "--cache", str(cache)]
+    for query in queries:
+        assert main(args + query) == 0
+    assert capsys.readouterr().out == expected
+    assert cache.read_bytes() == f"tklwb-cache v1 gens=3 star={star}\n".encode() + rows
 
 
 def test_cache_save_load_save_keeps_the_bytes(tmp_path, capsys):

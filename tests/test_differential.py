@@ -9,7 +9,9 @@ letter-by-letter products, ``cs_action`` against the closed form of
 right operand.  Metamorphic: the recurrence's ``P`` under inverting both
 words and under relabelling the generators (length 0-8), and its ``Psigma``
 under relabellings that commute with ``star`` (rank 0-6), each on the
-whole row of ``w``."""
+whole row of ``w``.  Differential: the recurrence against the oracle on
+whole rows past the sweep bounds, ``P`` at length 9-12 and ``Psigma`` at
+rank 6-8."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,3 +182,27 @@ def test_psigma_is_unchanged_by_relabellings_that_commute_with_star(data):
     ttable, relabelled = TwistedKLTable(spec), TwistedKLTable(spec)
     for y in ttable.interval(w):
         assert relabelled.p(relabel(label, y), relabel(label, w)) == ttable.p(y, w)
+
+
+# -- differential: the recurrence against the oracle past the sweep bounds -----
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.data())
+def test_p_matches_the_oracle_on_long_rows(data):
+    spec = data.draw(specs())
+    w = data.draw(reduced_words(spec.gen_count, 9, 12))
+    table = KLTable()
+    row = table.oracle_row(w)
+    assert {y: table.p(y, w) for y in row} == row
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_psigma_matches_the_oracle_on_high_rank_rows(data):
+    spec = data.draw(specs())
+    # the fold of a reduced word of length 6-8 is a twisted involution of rank 6-8
+    w = twist_word(spec, data.draw(reduced_words(spec.gen_count, 6, 8)), IDENTITY)
+    ttable = TwistedKLTable(spec)
+    row = ttable.oracle_row(w)
+    assert {y: ttable.p(y, w) for y in row} == row

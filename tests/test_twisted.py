@@ -289,6 +289,19 @@ def test_p_matches_oracle():
                 assert tt.p(y, word) == row[y]
 
 
+def test_strip_is_the_move_at_a_descent():
+    """The recurrence of both tables reads ``s # w`` as ``w[_strip]`` at the
+    descent ``s = w[0]``: on every word of length <= 6 at 3 generators, and
+    on every twisted involution of rank <= 4 at three specs."""
+    table = KLTable()
+    for word in enumerate_words(3, 6)[1:]:
+        assert word[table._strip] == table._move(word[0], word)
+    for spec in (ID3, SWAP3, CoxeterSpec.make(4, "(a b)(c d)")):
+        tt = TwistedKLTable(spec)
+        for word in enumerate_twisted_involutions(spec, 4)[1:]:
+            assert word[tt._strip] == tt._move(word[0], word), (spec, format_word(word))
+
+
 def test_p_symmetries():
     for spec in SPECS:
         tt = TwistedKLTable(spec)
