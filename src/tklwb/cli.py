@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=("text", "json", "tsv"), default="text",
-        help="output of kl, tkl, pm, structure, mult and enum (verify: JSON, dump: cache format)",
+        help="output of kl, tkl, pm, structure, mult and enum; tsv only for kl, tkl and pm "
+        "(verify: JSON, dump: cache format)",
     )
     parser.add_argument("--cache", help="path of a polynomial cache file to reuse and update")
     parser.add_argument(
@@ -389,6 +390,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format == "tsv" and args.command in ("structure", "mult", "enum"):
+            raise ValueError(f"--format tsv is read only by kl, tkl and pm, not {args.command}")
         spec = CoxeterSpec(args.gens, parse_star(args.star, args.gens))
         table = KLTable()
         ttable = TwistedKLTable(spec)

@@ -1,9 +1,11 @@
 """Sweep-style verifiers for the positivity and parity properties.
 
-Every check enumerates its tuple space in canonical order, records each
-violation instead of aborting, and returns a `SweepReport` that serializes
-to JSON with stable key order.  For universal systems all theorem-backed
-checks must come back empty; a nonempty report therefore signals an
+A check is a sequence of parts, each a tuple space and its evaluator.  The
+spaces are pairs ``y <= w``, triples ``y < z <= w`` and grids of index sets
+(words, twisted involutions, generators), in canonical order.  A sweep
+records each violation instead of aborting and returns a `SweepReport` that
+serializes to JSON with stable key order.  For universal systems all
+theorem-backed checks must come back empty, so a nonempty report signals an
 implementation bug, and the witness list is the debugging artifact.
 
 Polynomial inputs to the positivity and parity sweeps are taken from the
@@ -18,6 +20,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import product
 
 from .hecke import (
     KLTable,
@@ -136,33 +140,40 @@ def _violation(words: tuple[Word, ...], detail: str) -> dict:
     return {"tuple": [format_word(u) for u in words], "detail": detail}
 
 
-# -- tuple spaces: (state, bounds, cap) -> the tuples of a check, in canonical
-# order, with intervals and order tests read from the state's tables
+# -- tuple spaces: (state, bounds, cap) -> the tuples of one part, with intervals
+# and order tests read from the state's tables; `_CHECKS` binds a shape's sides
 
 
-def _words(state, bounds, cap):
-    return enumerate_words(state[0].gen_count, bounds.max_ell, cap)
+_TABLE = {"w": 1, "i": 2}  # the state's table that reads each side
 
 
-def _involutions(state, bounds, cap):
-    return enumerate_twisted_involutions(state[0], bounds.max_rho, cap)
+def _index(state, bounds, cap, side):
+    """The index set of ``side``: ``"w"`` the words of length <= ``max_ell``,
+    ``"i"`` the twisted involutions of rank <= ``max_rho``, ``"wi"`` both in
+    `word_key` order, ``"g"`` the generators."""
+    spec = state[0]
+    if side == "w":
+        return enumerate_words(spec.gen_count, bounds.max_ell, cap)
+    if side == "i":
+        return enumerate_twisted_involutions(spec, bounds.max_rho, cap)
+    if side == "wi":
+        both = {*_index(state, bounds, cap, "w"), *_index(state, bounds, cap, "i")}
+        return sorted(both, key=word_key)
+    return range(spec.gen_count)
 
 
-def _word_pairs(state, bounds, cap):
-    """``(w, y)`` for every word ``w`` and ``y <= w``."""
-    return [(w, y) for w in _words(state, bounds, cap) for y in state[1].interval(w)]
+def _pairs(side, state, bounds, cap):
+    """``(w, y)`` for every ``w`` of ``side`` and ``y <= w``."""
+    table = state[_TABLE[side]]
+    return [(w, y) for w in _index(state, bounds, cap, side) for y in table.interval(w)]
 
 
-def _involution_pairs(state, bounds, cap):
-    """``(w, y)`` for every twisted involution ``w`` and ``y <= w``."""
-    return [(w, y) for w in _involutions(state, bounds, cap) for y in state[2].interval(w)]
-
-
-def _triples(table, ws):
-    """``(w, y, z)`` for every ``w`` in ``ws`` and ``y < z <= w`` in ``table``."""
+def _triples(side, state, bounds, cap):
+    """``(w, y, z)`` for every ``w`` of ``side`` and ``y < z <= w``."""
+    table = state[_TABLE[side]]
     return [
         (w, y, z)
-        for w in ws
+        for w in _index(state, bounds, cap, side)
         for below in (table.interval(w),)
         for y in below
         for z in below
@@ -170,69 +181,24 @@ def _triples(table, ws):
     ]
 
 
-def _word_triples(state, bounds, cap):
-    return _triples(state[1], _words(state, bounds, cap))
-
-
-def _involution_triples(state, bounds, cap):
-    return _triples(state[2], _involutions(state, bounds, cap))
-
-
-def _involution_singletons(state, bounds, cap):
-    return [(w,) for w in _involutions(state, bounds, cap)]
-
-
-def _word_squares(state, bounds, cap):
-    words = _words(state, bounds, cap)
-    return [(x, y) for x in words for y in words]
-
-
-def _involution_squares(state, bounds, cap):
-    invs = _involutions(state, bounds, cap)
-    return [(y, w) for y in invs for w in invs]
-
-
-def _words_by_involutions(state, bounds, cap):
-    words = _words(state, bounds, cap)
-    invs = _involutions(state, bounds, cap)
-    return [(x, y) for x in words for y in invs]
-
-
-def _both_pairs(state, bounds, cap):
-    """`_word_pairs` tagged ``"w"``, then `_involution_pairs` tagged ``"i"``."""
-    return [("w",) + t for t in _word_pairs(state, bounds, cap)] + [
-        ("i",) + t for t in _involution_pairs(state, bounds, cap)
-    ]
+def _grid(sides, state, bounds, cap):
+    """The product of the index sets of ``sides``, the first side outermost."""
+    return list(product(*(_index(state, bounds, cap, side) for side in sides)))
 
 
 def _embedded_pairs(state, bounds, cap):
     # Meaningful only for a fixed-point-free star; otherwise vacuous.
-    return _word_pairs(state, bounds, cap) if state[0].star_is_fixed_point_free else []
+    return _pairs("w", state, bounds, cap) if state[0].star_is_fixed_point_free else []
 
 
 def _msigma_pairs(state, bounds, cap):
     """``(y, w)``: ``y <= w`` nontrivial twisted involutions of distinct descents."""
-    return [(y, w) for w, y in _involution_pairs(state, bounds, cap) if y and y[0] != w[0]]
+    return [(y, w) for w, y in _pairs("i", state, bounds, cap) if y and y[0] != w[0]]
 
 
-def _generator_actions(state, bounds, cap):
-    """``("act", s, w)`` for every generator and twisted involution, then
-    ``("rec", s, w)`` for every nontrivial ``w`` and its descent ``s``."""
-    invs = _involutions(state, bounds, cap)
-    return [("act", s, w) for s in range(state[0].gen_count) for w in invs] + [
-        ("rec", w[0], w) for w in invs if w
-    ]
-
-
-def _product_operands(state, bounds, cap):
-    """``("kl", x, y)`` over words by words and involutions, then
-    ``("tw", x, y)`` over words by involutions."""
-    words = _words(state, bounds, cap)
-    invs = _involutions(state, bounds, cap)
-    right = sorted(set(words) | set(invs), key=word_key)
-    return [("kl", x, y) for x in words for y in right] + [
-        ("tw", x, y) for x in words for y in invs
-    ]
+def _descents(state, bounds, cap):
+    """``(s, w)`` for every nontrivial twisted involution ``w`` and its descent ``s``."""
+    return [(w[0], w) for w in _index(state, bounds, cap, "i") if w]
 
 
 # -- evaluators: (state, tuple) -> violations, state = (spec, KLTable, TwistedKLTable)
@@ -327,15 +293,12 @@ def _eval_parity_h(state, t):
             yield _violation((x, y, z), f"h-tilde = {a} and h-sigma = {b} differ mod 2")
 
 
-def _eval_oracle_equivalence(state, t):
-    _, table, ttable = state
-    kind, w, y = t
-    if kind == "w":
-        fast, slow, name = table.p(y, w), table.p_oracle(y, w), "P"
-    else:
-        fast, slow, name = ttable.p(y, w), ttable.p_oracle(y, w), "Psigma"
+def _eval_recurrence(side, state, t):
+    table = state[_TABLE[side]]
+    w, y = t
+    fast, slow = table.p(y, w), table.p_oracle(y, w)
     if fast != slow:
-        yield _violation((y, w), f"{name} recurrence gives {fast}, oracle gives {slow}")
+        yield _violation((y, w), f"{table.name} recurrence gives {fast}, oracle gives {slow}")
 
 
 def _eval_rho_grading(state, t):
@@ -386,10 +349,7 @@ def _eval_msigma_closed_form(state, t):
 
 def _eval_mult_formula(state, t):
     spec, table, ttable = state
-    kind, s, w = t
-    if kind == "rec":
-        yield from _eval_cs_recurrence(spec, ttable, s, w)
-        return
+    s, w = t
     got = ttable.cs_action(s, w)
     if got != twisted_product(spec, (s,), w):
         yield _violation(((s,), w), "coefficient expansion disagrees with closed form")
@@ -397,7 +357,7 @@ def _eval_mult_formula(state, t):
         yield _violation(((s,), w), "coefficient expansion disagrees with direct action")
 
 
-def _eval_cs_recurrence(spec, ttable, s, w):
+def _eval_cs_recurrence(state, t):
     """Check the generic coefficient recurrence with all values from the oracle.
 
     For ``s`` a descent of both ``y`` and ``w`` and ``w1 = s # w``:
@@ -410,6 +370,8 @@ def _eval_cs_recurrence(spec, ttable, s, w):
     step (it shortens by one).  This identity is circular as a computation
     scheme, so it is only ever evaluated as a check.
     """
+    spec, _, ttable = state
+    s, w = t
     pf = ttable.p_oracle
     w1 = twist(spec, s, w)
     c = len(w1) == len(w) - 1
@@ -434,39 +396,47 @@ def _eval_cs_recurrence(spec, ttable, s, w):
             yield _violation((y, w, (s,)), f"coefficient recurrence: lhs {lhs} != rhs {rhs}")
 
 
-def _eval_structure_theorems(state, t):
-    """Cross-check both product closed forms against the standard-basis routes.
+def _eval_kl_structure(state, t):
+    x, y = t
+    if kl_product(x, y) != kl_product_direct(state[1], x, y):
+        yield _violation((x, y), "KL product closed form disagrees with direct route")
 
-    Not in the public check list; the acceptance suite drives it directly.
-    """
+
+def _eval_module_structure(state, t):
     spec, table, ttable = state
-    kind, x, y = t
-    if kind == "kl":
-        if kl_product(x, y) != kl_product_direct(table, x, y):
-            yield _violation((x, y), "KL product closed form disagrees with direct route")
-    elif twisted_product(spec, x, y) != twisted_product_direct(spec, table, ttable, x, y):
+    x, y = t
+    if twisted_product(spec, x, y) != twisted_product_direct(spec, table, ttable, x, y):
         yield _violation((x, y), "module product closed form disagrees with direct route")
 
 
-# Each check is (tuple space, evaluator).  A sweep may partition the tuple
-# list across workers; each worker gets a private state so the memo tables
-# stay single-writer.
+# Each check is a sequence of parts (tuple space, evaluator), run in order.
+# A sweep may partition the tuples across workers; each worker gets a
+# private state so the memo tables stay single-writer.
 _CHECKS = {
-    "a-prime": (_involution_pairs, _eval_a_prime),
-    "b-prime": (_involution_triples, _eval_b_prime),
-    "c-prime": (_words_by_involutions, _eval_c_prime),
-    "a": (_word_pairs, _eval_a),
-    "b": (_word_triples, _eval_b),
-    "c": (_word_squares, _eval_c),
-    "parity-p": (_involution_pairs, _eval_parity_p),
-    "parity-h": (_words_by_involutions, _eval_parity_h),
-    "oracle-equivalence": (_both_pairs, _eval_oracle_equivalence),
-    "rho-grading": (_involution_singletons, _eval_rho_grading),
-    "bruhat-agreement": (_involution_squares, _eval_bruhat_agreement),
-    "regular-embedding": (_embedded_pairs, _eval_regular_embedding),
-    "msigma-closed-form": (_msigma_pairs, _eval_msigma_closed_form),
-    "mult-formula": (_generator_actions, _eval_mult_formula),
-    "structure-theorems": (_product_operands, _eval_structure_theorems),
+    "a-prime": ((partial(_pairs, "i"), _eval_a_prime),),
+    "b-prime": ((partial(_triples, "i"), _eval_b_prime),),
+    "c-prime": ((partial(_grid, ("w", "i")), _eval_c_prime),),
+    "a": ((partial(_pairs, "w"), _eval_a),),
+    "b": ((partial(_triples, "w"), _eval_b),),
+    "c": ((partial(_grid, ("w", "w")), _eval_c),),
+    "parity-p": ((partial(_pairs, "i"), _eval_parity_p),),
+    "parity-h": ((partial(_grid, ("w", "i")), _eval_parity_h),),
+    "oracle-equivalence": (
+        (partial(_pairs, "w"), partial(_eval_recurrence, "w")),
+        (partial(_pairs, "i"), partial(_eval_recurrence, "i")),
+    ),
+    "rho-grading": ((partial(_grid, ("i",)), _eval_rho_grading),),
+    "bruhat-agreement": ((partial(_grid, ("i", "i")), _eval_bruhat_agreement),),
+    "regular-embedding": ((_embedded_pairs, _eval_regular_embedding),),
+    "msigma-closed-form": ((_msigma_pairs, _eval_msigma_closed_form),),
+    "mult-formula": (
+        (partial(_grid, ("g", "i")), _eval_mult_formula),
+        (_descents, _eval_cs_recurrence),
+    ),
+    "structure-theorems": (
+        (partial(_grid, ("w", "wi")), _eval_kl_structure),
+        (partial(_grid, ("w", "i")), _eval_module_structure),
+    ),
 }
 
 # The public checks; ``structure-theorems`` is driven by the acceptance suite.
@@ -480,33 +450,35 @@ def verify(
     cap: int = DEFAULT_CAP,
     jobs: int = 1,
 ) -> SweepReport:
-    """Run one named check over its tuple space and report every violation.
+    """Run one named check, part after part, and report every violation.
 
-    The tuple space is built on one state's tables, which a single worker
-    then evaluates on.  With ``jobs > 1`` the tuple list is split into
-    ``min(jobs, cpu count, tuples)`` contiguous chunks, each evaluated by a
-    thread with private memo tables; results are concatenated in chunk order,
-    so the report does not depend on the thread count.
+    The parts' tuple spaces are built on one state's tables, which a single
+    worker then evaluates on.  With ``jobs > 1`` the tuples of all parts are
+    split into ``min(jobs, cpu count, tuples)`` contiguous chunks, which may
+    cross from one part into the next, each evaluated by a thread with private
+    memo tables; results are concatenated in chunk order, so the report does
+    not depend on the thread count.
     """
     name = check.lower()
     if name not in _CHECKS:
         raise ValueError(f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
     start = time.monotonic()
-    space, evaluate = _CHECKS[name]
     state = (spec, KLTable(), TwistedKLTable(spec))
-    tuples = space(state, bounds, cap)
-    workers = min(jobs, os.cpu_count() or 1, len(tuples))
+    parts = [(space(state, bounds, cap), evaluate) for space, evaluate in _CHECKS[name]]
+    n = sum(len(tuples) for tuples, _ in parts)
+    workers = min(jobs, os.cpu_count() or 1, n)
     if workers <= 1:
-        violations = [v for t in tuples for v in evaluate(state, t)]
+        violations = [v for tuples, evaluate in parts for t in tuples for v in evaluate(state, t)]
     else:
+        # flattened only here, to be chunked: one list per part is smaller
+        flat = [(evaluate, t) for tuples, evaluate in parts for t in tuples]
 
         def run_chunk(chunk):
             fresh = (spec, KLTable(), TwistedKLTable(spec))
-            return [v for t in chunk for v in evaluate(fresh, t)]
+            return [v for evaluate, t in chunk for v in evaluate(fresh, t)]
 
-        n = len(tuples)
-        chunks = [tuples[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
+        chunks = [flat[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            violations = [v for part in pool.map(run_chunk, chunks) for v in part]
+            violations = [v for found in pool.map(run_chunk, chunks) for v in found]
     elapsed = int((time.monotonic() - start) * 1000)
-    return SweepReport(spec, bounds, name, len(tuples), violations, elapsed)
+    return SweepReport(spec, bounds, name, n, violations, elapsed)

@@ -104,15 +104,32 @@ def test_json_formats(capsys):
     assert json.loads(out)[0] == {"w": "e", "rho": 0, "ell": 0, "ell_star": 0}
 
 
-def test_tsv_format(capsys):
-    code, out = run(
-        capsys, "--gens", "3", "--star", "id", "--format", "tsv", "kl", "b", "aba"
-    )
-    assert (code, out) == (0, "b\taba\t1\n")
-    code, out = run(
-        capsys, "--gens", "3", "--star", "id", "--format", "tsv", "pm", "e", "a"
-    )
-    assert (code, out) == (0, "plus\t1\nminus\t0\n")
+@pytest.mark.parametrize(
+    "call, out",
+    [
+        ("kl b aba", "b\taba\t1\n"),
+        ("pm e a", "plus\t1\nminus\t0\n"),
+        ("structure a b", None),  # no tsv form: a usage error
+        ("mult a b", None),
+        ("enum 1", None),
+    ],
+    ids=["kl", "pm", "structure", "mult", "enum"],
+)
+def test_tsv_format(capsys, monkeypatch, call, out):
+    import tklwb.cli
+
+    def never():
+        raise AssertionError("a table was made before --format was checked")
+
+    if out is None:
+        monkeypatch.setattr(tklwb.cli, "KLTable", never)
+    code = main(["--gens", "3", "--star", "id", "--format", "tsv", *call.split()])
+    got = capsys.readouterr()
+    if out is None:
+        err = f"tklwb: --format tsv is read only by kl, tkl and pm, not {call.split()[0]}\n"
+        assert (code, got.out, got.err) == (2, "", err)
+    else:
+        assert (code, got.out) == (0, out)
 
 
 def test_verify_pass(capsys):
@@ -308,6 +325,23 @@ def test_dump_to_stdout(capsys):
     assert code == 0
     assert out.startswith("tklwb-cache v1 gens=2 star=id\n")
     assert "P\te\ta\t1" in out
+
+
+def test_dump_rows_are_the_sweep_pairs(capsys):
+    """`dump` keeps its own loops: its ``P`` rows are the pairs of the ``a``
+    sweep and its ``Psig`` rows those of ``parity-p``, at the same bounds."""
+    from collections import Counter
+
+    from tklwb.positivity import verify
+    from tklwb.words import CoxeterSpec
+
+    dump = ["dump", "--max-rho", "3", "--max-ell", "4"]
+    code, out = run(capsys, "--gens", "3", "--star", "(a b)", *dump)
+    assert code == 0
+    rows = Counter(line.split("\t")[0] for line in out.splitlines()[1:])
+    spec, bounds = CoxeterSpec.make(3, "(a b)"), Bounds(max_rho=3, max_ell=4)
+    assert rows["P"] == verify("a", spec, bounds).tuples_checked
+    assert rows["Psig"] == verify("parity-p", spec, bounds).tuples_checked
 
 
 def test_cache_round_trip(tmp_path, capsys):

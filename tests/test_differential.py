@@ -9,34 +9,52 @@ letter-by-letter products, ``cs_action`` against the closed form of
 right operand.  Metamorphic: the recurrence's ``P`` under inverting both
 words and under relabelling the generators (length 0-8), and its ``Psigma``
 under relabellings that commute with ``star`` (rank 0-6), each on the
-whole row of ``w``.  Differential: the recurrence against the oracle on
-whole rows past the sweep bounds, ``P`` at length 9-12 and ``Psigma`` at
-rank 6-8."""
+whole row of ``w``, and ``Psigma`` rows and module products on a system
+extended by unused generators (rank 0-6).  Differential: the recurrence
+against the oracle on whole rows past the sweep bounds, ``P`` at length
+9-12 and ``Psigma`` at rank 6-8, and ``bar_basis`` against its defining
+formula on random systems (rank 0-6)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import hecke_action, kl_product_reference, mul, twisted_product_reference
-from tklwb.hecke import KLTable, expand_triangular, kl_product, kl_product_direct
-from tklwb.twisted import TwistedKLTable, twisted_product, twisted_product_direct
+from tklwb.hecke import KLTable, bar_t, expand_triangular, kl_product, kl_product_direct
+from tklwb.laurent import ONE
+from tklwb.twisted import TwistedKLTable, bar_basis, twisted_product, twisted_product_direct
 from tklwb.words import (
     IDENTITY,
     CoxeterSpec,
     NotTwistedInvolution,
+    inverse,
     is_twisted_involution,
     twist_word,
 )
 
 
+def pair_up(draw, star: list, letters) -> None:
+    """Swap some disjoint pairs of ``letters`` under ``star``; the others stay fixed."""
+    order = draw(st.permutations(letters))
+    for i in range(draw(st.integers(0, len(order) // 2))):
+        a, b = order[2 * i], order[2 * i + 1]
+        star[a], star[b] = b, a
+
+
 @st.composite
 def specs(draw):
     gens = draw(st.integers(2, 5))
-    order = draw(st.permutations(range(gens)))
-    pairs = draw(st.integers(0, gens // 2))
     star = list(range(gens))
-    for i in range(pairs):
-        a, b = order[2 * i], order[2 * i + 1]
-        star[a], star[b] = b, a
+    pair_up(draw, star, range(gens))
+    return CoxeterSpec(gens, tuple(star))
+
+
+@st.composite
+def extensions(draw, spec):
+    """``spec`` with 1-3 more generators, star-fixed or swapped in pairs
+    among themselves."""
+    gens = spec.gen_count + draw(st.integers(1, 3))
+    star = list(spec.star) + list(range(spec.gen_count, gens))
+    pair_up(draw, star, range(spec.gen_count, gens))
     return CoxeterSpec(gens, tuple(star))
 
 
@@ -184,7 +202,38 @@ def test_psigma_is_unchanged_by_relabellings_that_commute_with_star(data):
         assert relabelled.p(relabel(label, y), relabel(label, w)) == ttable.p(y, w)
 
 
-# -- differential: the recurrence against the oracle past the sweep bounds -----
+@_SETTINGS
+@given(st.data())
+def test_psigma_and_products_ignore_unused_generators(data):
+    """Rows of ``Psigma`` and module products read only the letters they
+    use: on a spec extended by more generators they are unchanged."""
+    spec = data.draw(specs())
+    big = data.draw(extensions(spec))
+    # the fold of a reduced word of length 0-6 is a twisted involution of rank 0-6
+    w = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0, 6)), IDENTITY)
+    row = TwistedKLTable(spec).oracle_row(w)
+    ttable = TwistedKLTable(big)
+    assert ttable.oracle_row(w) == row
+    assert {y: ttable.p(y, w) for y in row} == row
+    x = data.draw(reduced_words(spec.gen_count, 0))
+    assert twisted_product(big, x, w) == twisted_product(spec, x, w)
+
+
+# -- differential: past the sweep bounds and the fixed systems of the unit tests -
+
+
+@_SETTINGS
+@given(st.data())
+def test_bar_basis_matches_the_defining_formula_on_random_systems(data):
+    """``bar(a_w) = (-1)^len(w) (T_{w^-1})^-1 a_{w^-1}``, acting term by term,
+    on random systems (``test_twisted`` holds three fixed ones)."""
+    spec = data.draw(specs())
+    # the fold of a reduced word of length 0-6 is a twisted involution of rank 0-6
+    w = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0, 6)), IDENTITY)
+    sign = -ONE if len(w) % 2 else ONE
+    assert bar_basis(spec, w) == hecke_action(spec, bar_t(w), {inverse(w): sign})
+
+
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)

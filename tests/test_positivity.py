@@ -94,12 +94,25 @@ def test_oracle_equivalence_rank_five_two_generators():
     assert report.passed and report.tuples_checked > 0
 
 
-def test_jobs_do_not_change_the_report():
-    for check in ("a-prime", "oracle-equivalence", "parity-h"):
-        one = verify(check, SWAP3, SMALL, jobs=1)
-        many = verify(check, SWAP3, SMALL, jobs=3)
+def test_jobs_do_not_change_the_report(monkeypatch):
+    import tklwb.positivity as positivity
+
+    monkeypatch.setattr(positivity.os, "cpu_count", lambda: 3)  # three chunks on any box
+    # a chunk crosses the parts of the last three: 115 + 115, 66 + 21 and 160 + 100 tuples
+    inputs = [(c, SMALL) for c in ("a-prime", "parity-h", "oracle-equivalence", "mult-formula")]
+    inputs.append(("structure-theorems", Bounds(max_rho=2, max_ell=2)))
+    for check, bounds in inputs:
+        one = verify(check, SWAP3, bounds, jobs=1)
+        many = verify(check, SWAP3, bounds, jobs=3)
         assert one.violations == many.violations
         assert one.tuples_checked == many.tuples_checked
+        # every tuple meets its own part's evaluator, once and in order
+        parts = positivity._CHECKS[check]
+        record = [(space, lambda state, t, i=i: [(i, t)]) for i, (space, _) in enumerate(parts)]
+        monkeypatch.setitem(positivity._CHECKS, check, record)
+        seen = verify(check, SWAP3, bounds, jobs=3).violations
+        assert seen == verify(check, SWAP3, bounds, jobs=1).violations
+        assert len(seen) == one.tuples_checked
 
 
 def test_structure_theorems_check():
@@ -112,11 +125,15 @@ def test_violations_are_recorded_not_raised():
     # run single-threaded through the internals to control the table.
     from tklwb.positivity import _CHECKS
 
-    space, evaluate = _CHECKS["oracle-equivalence"]
     table = KLTable()
     table.seed({((), w("abc")): parse_poly("1+q")})  # wrong on purpose
     state = (ID3, table, TwistedKLTable(ID3))
-    found = [v for t in space(state, Bounds(3, 3), 10**6) for v in evaluate(state, t)]
+    found = [
+        v
+        for space, evaluate in _CHECKS["oracle-equivalence"]
+        for t in space(state, Bounds(3, 3), 10**6)
+        for v in evaluate(state, t)
+    ]
     assert found == [
         {"tuple": ["e", "abc"], "detail": "P recurrence gives 1+q, oracle gives 1"}
     ]
