@@ -23,9 +23,9 @@ from functools import partial
 from itertools import chain, islice
 from typing import TextIO
 
-from .hecke import InternalInconsistencyError, KLTable, MemoView, kl_product, row_fault
+from .hecke import InternalInconsistencyError, KLTable, kl_product, row_fault
 from .laurent import LaurentPoly, ParityError, QFormError, parse_poly
-from .positivity import Bounds, CHECK_NAMES, kl_halves, verify
+from .positivity import Bounds, CHECK_NAMES, grid, index, kl_halves, pairs, verify
 from .twisted import TwistedKLTable, twisted_product
 from .words import (
     CapExceeded,
@@ -37,7 +37,6 @@ from .words import (
     bruhat_leq_twisted,
     ell_star,
     enumerate_twisted_involutions,
-    enumerate_words,
     format_star,
     format_word,
     parse_star,
@@ -140,21 +139,18 @@ def cache_header(spec: CoxeterSpec) -> str:
     return f"{CACHE_MAGIC} gens={spec.gen_count} star={format_star(spec.star)}"
 
 
-def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable) -> bool:
-    """Seed the tables from a cache file, read line by line; return whether
-    it passed and has ``h``/``hsig`` lines for `save_cache` to keep.  A file
-    with a header mismatch is ignored, and so, with a warning, is one that is
-    not UTF-8 text or has a row that `_cache_row` rejects.  The tables are
-    seeded only once the whole file has passed; until then the rows are held
-    as the memo holds them: by ``w``, one tuple per word, one object per value."""
-    entries: dict[str, dict[Word, dict[Word, LaurentPoly]]] = {"P": {}, "Psig": {}}
-    words: dict[Word, Word] = {}
-    values: dict[tuple[int, int], LaurentPoly] = {}
+def load_cache(path: str, spec: CoxeterSpec):
+    """Seed a fresh `KLTable` and `TwistedKLTable` from a cache file, read
+    line by line; return ``(table, ttable, keep)`` once the whole file has
+    passed (``keep``: it has ``h``/``hsig`` lines for `save_cache` to copy),
+    else ``None``: for a file with a header mismatch, or, with a warning, one
+    that is not UTF-8 text or has a row that `_cache_row` rejects."""
+    tables = {"P": KLTable(), "Psig": TwistedKLTable(spec)}
     keep = False
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != cache_header(spec):
-                return False
+                return None
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:
@@ -168,21 +164,18 @@ def load_cache(path: str, spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTa
                 except ValueError as exc:
                     warning = f"ignoring cache {path}: bad line {line!r}: {exc}"
                     print(f"tklwb: warning: {warning}", file=sys.stderr)
-                    return False
-                row = entries[fields[0]].setdefault(words.setdefault(w, w), {})
-                row[words.setdefault(y, y)] = values.setdefault((poly.low, poly.n), poly)
+                    return None
+                tables[fields[0]].seed({(y, w): poly})
     except FileNotFoundError as exc:
         if os.path.isdir(os.path.dirname(path) or "."):
-            return False
+            return None
         raise _file_error("write cache", path, exc) from exc  # before any work
-    except UnicodeDecodeError:  # on any line, so before the tables are seeded
+    except UnicodeDecodeError:
         print(f"tklwb: warning: ignoring cache {path}: not UTF-8 text", file=sys.stderr)
-        return False
+        return None
     except OSError as exc:
         raise _file_error("read cache", path, exc) from exc
-    table.seed(MemoView(entries["P"]))
-    ttable.seed(MemoView(entries["Psig"]))
-    return keep
+    return tables["P"], tables["Psig"], keep
 
 
 def _cache_row(spec: CoxeterSpec, fields: list[str]) -> tuple[Word, Word, LaurentPoly]:
@@ -348,24 +341,26 @@ def _cmd_verify(args, spec, table, ttable, out) -> int:
 
 
 def _cmd_dump(args, spec, table, ttable, out) -> int:
+    sweep = (spec, table, ttable), Bounds(max_rho=args.max_rho, max_ell=args.max_ell), args.cap
+
     def lines():
-        words = enumerate_words(spec.gen_count, args.max_ell, args.cap)
-        invs = enumerate_twisted_involutions(spec, args.max_rho, args.cap)
-        names = {w: format_word(w) for w in (*words, *invs)}
+        # the spaces of the `a`, `parity-p`, `c` and `c-prime` sweeps, enumerated before the header
+        polys = ("P", table, pairs("w", *sweep)), ("Psig", ttable, pairs("i", *sweep))
+        h, hsig = grid(("w", "w"), *sweep), grid(("w", "i"), *sweep)
+        products = ("h", kl_product, h), ("hsig", partial(twisted_product, spec), hsig)
+        names = {w: format_word(w) for w in index(*sweep, "wi")}
         yield cache_header(spec)
-        for tag, tab, ws in (("P", table, words), ("Psig", ttable, invs)):
-            pairs = ((f"{names[y]}\t{names[w]}", tab.p(y, w)) for w in ws for y in tab.interval(w))
-            yield from poly_rows(tag, pairs)
+        for tag, tab, space in polys:
+            yield from poly_rows(tag, ((f"{names[y]}\t{names[w]}", tab.p(y, w)) for w, y in space))
         # a product word outside ``names`` is formatted on its row, not kept (to save memory)
-        products = (("h", words, kl_product), ("hsig", invs, partial(twisted_product, spec)))
-        for tag, ys, product in products:
-            pairs = (
+        for tag, product, space in products:
+            rows = (
                 (f"{head}{names.get(z) or format_word(z)}", prod[z])
-                for x in words for y in ys
+                for x, y in space
                 for prod, head in ((product(x, y), f"{names[x]}\t{names[y]}\t"),)
                 for z in (sorted(prod, key=word_key) if len(prod) > 1 else prod)
             )
-            yield from poly_rows(tag, pairs)
+            yield from poly_rows(tag, rows)
 
     if args.out:
         save_lines(args.out, "write", lines())
@@ -393,9 +388,8 @@ def main(argv=None) -> int:
         if args.format == "tsv" and args.command in ("structure", "mult", "enum"):
             raise ValueError(f"--format tsv is read only by kl, tkl and pm, not {args.command}")
         spec = CoxeterSpec(args.gens, parse_star(args.star, args.gens))
-        table = KLTable()
-        ttable = TwistedKLTable(spec)
-        keep = load_cache(args.cache, spec, table, ttable) if args.cache else False
+        loaded = load_cache(args.cache, spec) if args.cache else None
+        table, ttable, keep = loaded or (KLTable(), TwistedKLTable(spec), False)
         code = _COMMANDS[args.command](args, spec, table, ttable, sys.stdout)
         if args.cache:
             save_cache(args.cache, spec, table, ttable, keep)

@@ -130,26 +130,22 @@ def bar_t(w: Word) -> Elt:
     return t_inverse(inverse(w))
 
 
-def _longest_first(u: Word) -> tuple:
-    return (-len(u), u)
-
-
 def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, LaurentPoly]:
     """The row ``x -> P[x, w]`` of the transition matrix to the canonical basis.
 
     ``bar_of(x)`` is the bar image of the standard basis element of ``x`` (a
-    sparse word -> polynomial map) and ``interval`` the indices below ``w``.
-    The canonical element ``sum_x v**-len(w) P[x, w] e_x`` is the unique
-    bar-invariant one with ``P[w, w] = 1`` whose lower coefficients have
-    strictly negative v-support after shifting by ``v**len(x)``: walking the
-    interval downward extracts exactly that part.  The result is re-checked
-    for bar-invariance and, entry by entry, by `row_fault`; ``name`` labels
-    the polynomials in error messages.
+    sparse word -> polynomial map) and ``interval`` the indices below ``w``
+    in (length, lex) order.  The canonical element ``sum_x v**-len(w) P[x, w]
+    e_x`` is the unique bar-invariant one with ``P[w, w] = 1`` whose lower
+    coefficients have strictly negative v-support after shifting by
+    ``v**len(x)``: walking the interval backward extracts exactly that part.
+    The result is re-checked for bar-invariance and, entry by entry, by
+    `row_fault`; ``name`` labels the polynomials in error messages.
     """
     coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
     barred: dict[Word, LaurentPoly] = {}
     add_scaled(barred, bar_of(w), v_power(len(w)))
-    for x in sorted(interval, key=_longest_first):
+    for x in reversed(interval):  # words of one length are incomparable
         if x == w:
             continue
         rhs = barred.get(x, ZERO).shift(len(x))

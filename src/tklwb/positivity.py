@@ -2,11 +2,12 @@
 
 A check is a sequence of parts, each a tuple space and its evaluator.  The
 spaces are pairs ``y <= w``, triples ``y < z <= w`` and grids of index sets
-(words, twisted involutions, generators), in canonical order.  A sweep
-records each violation instead of aborting and returns a `SweepReport` that
-serializes to JSON with stable key order.  For universal systems all
-theorem-backed checks must come back empty, so a nonempty report signals an
-implementation bug, and the witness list is the debugging artifact.
+(words, twisted involutions, generators), streamed in canonical order; the
+``dump`` command writes its rows over the same spaces.  A sweep records each
+violation instead of aborting and returns a `SweepReport` that serializes
+to JSON with stable key order.  For universal systems all theorem-backed
+checks must come back empty, so a nonempty report signals an implementation
+bug, and the witness list is the debugging artifact.
 
 Polynomial inputs to the positivity and parity sweeps are taken from the
 bar-triangular oracles, keeping the sweeps independent of the recurrence
@@ -140,14 +141,14 @@ def _violation(words: tuple[Word, ...], detail: str) -> dict:
     return {"tuple": [format_word(u) for u in words], "detail": detail}
 
 
-# -- tuple spaces: (state, bounds, cap) -> the tuples of one part, with intervals
-# and order tests read from the state's tables; `_CHECKS` binds a shape's sides
+# -- tuple spaces: (state, bounds, cap) -> an iterator over one part's tuples; its index
+# sets are enumerated at once, its intervals read from the state's tables as it is drawn
 
 
 _TABLE = {"w": 1, "i": 2}  # the state's table that reads each side
 
 
-def _index(state, bounds, cap, side):
+def index(state, bounds, cap, side):
     """The index set of ``side``: ``"w"`` the words of length <= ``max_ell``,
     ``"i"`` the twisted involutions of rank <= ``max_rho``, ``"wi"`` both in
     `word_key` order, ``"g"`` the generators."""
@@ -157,48 +158,48 @@ def _index(state, bounds, cap, side):
     if side == "i":
         return enumerate_twisted_involutions(spec, bounds.max_rho, cap)
     if side == "wi":
-        both = {*_index(state, bounds, cap, "w"), *_index(state, bounds, cap, "i")}
+        both = {*index(state, bounds, cap, "w"), *index(state, bounds, cap, "i")}
         return sorted(both, key=word_key)
     return range(spec.gen_count)
 
 
-def _pairs(side, state, bounds, cap):
+def pairs(side, state, bounds, cap):
     """``(w, y)`` for every ``w`` of ``side`` and ``y <= w``."""
     table = state[_TABLE[side]]
-    return [(w, y) for w in _index(state, bounds, cap, side) for y in table.interval(w)]
+    return ((w, y) for w in index(state, bounds, cap, side) for y in table.interval(w))
 
 
 def _triples(side, state, bounds, cap):
     """``(w, y, z)`` for every ``w`` of ``side`` and ``y < z <= w``."""
     table = state[_TABLE[side]]
-    return [
+    return (
         (w, y, z)
-        for w in _index(state, bounds, cap, side)
+        for w in index(state, bounds, cap, side)
         for below in (table.interval(w),)
         for y in below
         for z in below
         if y != z and table.leq(y, z)
-    ]
+    )
 
 
-def _grid(sides, state, bounds, cap):
+def grid(sides, state, bounds, cap):
     """The product of the index sets of ``sides``, the first side outermost."""
-    return list(product(*(_index(state, bounds, cap, side) for side in sides)))
+    return product(*(index(state, bounds, cap, side) for side in sides))
 
 
 def _embedded_pairs(state, bounds, cap):
     # Meaningful only for a fixed-point-free star; otherwise vacuous.
-    return _pairs("w", state, bounds, cap) if state[0].star_is_fixed_point_free else []
+    return pairs("w", state, bounds, cap) if state[0].star_is_fixed_point_free else iter(())
 
 
 def _msigma_pairs(state, bounds, cap):
     """``(y, w)``: ``y <= w`` nontrivial twisted involutions of distinct descents."""
-    return [(y, w) for w, y in _pairs("i", state, bounds, cap) if y and y[0] != w[0]]
+    return ((y, w) for w, y in pairs("i", state, bounds, cap) if y and y[0] != w[0])
 
 
 def _descents(state, bounds, cap):
     """``(s, w)`` for every nontrivial twisted involution ``w`` and its descent ``s``."""
-    return [(w[0], w) for w in _index(state, bounds, cap, "i") if w]
+    return ((w[0], w) for w in index(state, bounds, cap, "i") if w)
 
 
 # -- evaluators: (state, tuple) -> violations, state = (spec, KLTable, TwistedKLTable)
@@ -413,29 +414,29 @@ def _eval_module_structure(state, t):
 # A sweep may partition the tuples across workers; each worker gets a
 # private state so the memo tables stay single-writer.
 _CHECKS = {
-    "a-prime": ((partial(_pairs, "i"), _eval_a_prime),),
+    "a-prime": ((partial(pairs, "i"), _eval_a_prime),),
     "b-prime": ((partial(_triples, "i"), _eval_b_prime),),
-    "c-prime": ((partial(_grid, ("w", "i")), _eval_c_prime),),
-    "a": ((partial(_pairs, "w"), _eval_a),),
+    "c-prime": ((partial(grid, ("w", "i")), _eval_c_prime),),
+    "a": ((partial(pairs, "w"), _eval_a),),
     "b": ((partial(_triples, "w"), _eval_b),),
-    "c": ((partial(_grid, ("w", "w")), _eval_c),),
-    "parity-p": ((partial(_pairs, "i"), _eval_parity_p),),
-    "parity-h": ((partial(_grid, ("w", "i")), _eval_parity_h),),
+    "c": ((partial(grid, ("w", "w")), _eval_c),),
+    "parity-p": ((partial(pairs, "i"), _eval_parity_p),),
+    "parity-h": ((partial(grid, ("w", "i")), _eval_parity_h),),
     "oracle-equivalence": (
-        (partial(_pairs, "w"), partial(_eval_recurrence, "w")),
-        (partial(_pairs, "i"), partial(_eval_recurrence, "i")),
+        (partial(pairs, "w"), partial(_eval_recurrence, "w")),
+        (partial(pairs, "i"), partial(_eval_recurrence, "i")),
     ),
-    "rho-grading": ((partial(_grid, ("i",)), _eval_rho_grading),),
-    "bruhat-agreement": ((partial(_grid, ("i", "i")), _eval_bruhat_agreement),),
+    "rho-grading": ((partial(grid, ("i",)), _eval_rho_grading),),
+    "bruhat-agreement": ((partial(grid, ("i", "i")), _eval_bruhat_agreement),),
     "regular-embedding": ((_embedded_pairs, _eval_regular_embedding),),
     "msigma-closed-form": ((_msigma_pairs, _eval_msigma_closed_form),),
     "mult-formula": (
-        (partial(_grid, ("g", "i")), _eval_mult_formula),
+        (partial(grid, ("g", "i")), _eval_mult_formula),
         (_descents, _eval_cs_recurrence),
     ),
     "structure-theorems": (
-        (partial(_grid, ("w", "wi")), _eval_kl_structure),
-        (partial(_grid, ("w", "i")), _eval_module_structure),
+        (partial(grid, ("w", "wi")), _eval_kl_structure),
+        (partial(grid, ("w", "i")), _eval_module_structure),
     ),
 }
 
@@ -452,12 +453,13 @@ def verify(
 ) -> SweepReport:
     """Run one named check, part after part, and report every violation.
 
-    The parts' tuple spaces are built on one state's tables, which a single
-    worker then evaluates on.  With ``jobs > 1`` the tuples of all parts are
-    split into ``min(jobs, cpu count, tuples)`` contiguous chunks, which may
-    cross from one part into the next, each evaluated by a thread with private
-    memo tables; results are concatenated in chunk order, so the report does
-    not depend on the thread count.
+    The parts' tuple spaces stream from one state's tables; a single worker
+    evaluates each tuple on them as it is drawn, and counts it.  With
+    ``jobs > 1`` the tuples of all parts are listed and split into
+    ``min(jobs, cpu count, tuples)`` contiguous chunks, which may cross from
+    one part into the next, each evaluated by a thread with private memo
+    tables; results are concatenated in chunk order, so the report does not
+    depend on the thread count.
     """
     name = check.lower()
     if name not in _CHECKS:
@@ -465,19 +467,21 @@ def verify(
     start = time.monotonic()
     state = (spec, KLTable(), TwistedKLTable(spec))
     parts = [(space(state, bounds, cap), evaluate) for space, evaluate in _CHECKS[name]]
-    n = sum(len(tuples) for tuples, _ in parts)
-    workers = min(jobs, os.cpu_count() or 1, n)
+    tuples = ((evaluate, t) for space, evaluate in parts for t in space)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:  # listed only here, to be chunked
+        tuples = list(tuples)
+        workers = min(workers, n := len(tuples))
     if workers <= 1:
-        violations = [v for tuples, evaluate in parts for t in tuples for v in evaluate(state, t)]
+        n, violations = 0, []
+        for n, (evaluate, t) in enumerate(tuples, 1):
+            violations.extend(evaluate(state, t))
     else:
-        # flattened only here, to be chunked: one list per part is smaller
-        flat = [(evaluate, t) for tuples, evaluate in parts for t in tuples]
-
         def run_chunk(chunk):
             fresh = (spec, KLTable(), TwistedKLTable(spec))
             return [v for evaluate, t in chunk for v in evaluate(fresh, t)]
 
-        chunks = [flat[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
+        chunks = [tuples[i * n // workers : (i + 1) * n // workers] for i in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             violations = [v for found in pool.map(run_chunk, chunks) for v in found]
     elapsed = int((time.monotonic() - start) * 1000)

@@ -328,7 +328,7 @@ def test_dump_to_stdout(capsys):
 
 
 def test_dump_rows_are_the_sweep_pairs(capsys):
-    """`dump` keeps its own loops: its ``P`` rows are the pairs of the ``a``
+    """`dump` reads the sweep spaces: its ``P`` rows are the pairs of the ``a``
     sweep and its ``Psig`` rows those of ``parity-p``, at the same bounds."""
     from collections import Counter
 
@@ -695,6 +695,7 @@ def test_dump_streams_its_rows(tmp_path):
 
 def test_a_failed_dump_leaves_no_trace(tmp_path, capsys, monkeypatch):
     import tklwb.cli as cli
+    import tklwb.positivity as positivity
     from tklwb.hecke import InternalInconsistencyError
 
     dump = ["--gens", "3", "--star", "(a b)", "dump", "--max-rho", "4", "--max-ell", "5"]
@@ -721,7 +722,7 @@ def test_a_failed_dump_leaves_no_trace(tmp_path, capsys, monkeypatch):
     assert path.read_bytes() == b"the old tables\n"
     assert [p.name for p in tmp_path.iterdir()] == ["tables.tsv"]
     # a missing directory fails before any enumeration
-    monkeypatch.setattr(cli, "enumerate_words", None)
+    monkeypatch.setattr(positivity, "enumerate_words", None)
     assert main(dump + ["--out", str(tmp_path / "missing" / "x.tsv")]) == 2
 
 
@@ -729,8 +730,6 @@ def test_cache_load_streams_the_file(tmp_path):
     import tracemalloc
 
     from tklwb.cli import load_cache
-    from tklwb.hecke import KLTable
-    from tklwb.twisted import TwistedKLTable
     from tklwb.words import CoxeterSpec
 
     path = tmp_path / "tables.tsv"
@@ -739,10 +738,9 @@ def test_cache_load_streams_the_file(tmp_path):
     size = path.stat().st_size
     assert size > 700_000
     spec = CoxeterSpec.make(3, "(a b)")
-    table, ttable = KLTable(), TwistedKLTable(spec)
     tracemalloc.start()
     try:
-        kept = load_cache(str(path), spec, table, ttable)
+        table, ttable, kept = load_cache(str(path), spec)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -98,8 +98,10 @@ def test_jobs_do_not_change_the_report(monkeypatch):
     import tklwb.positivity as positivity
 
     monkeypatch.setattr(positivity.os, "cpu_count", lambda: 3)  # three chunks on any box
-    # a chunk crosses the parts of the last three: 115 + 115, 66 + 21 and 160 + 100 tuples
-    inputs = [(c, SMALL) for c in ("a-prime", "parity-h", "oracle-equivalence", "mult-formula")]
+    # a chunk crosses the parts of the two-part checks: 115 + 115, 66 + 21 and 160 + 100
+    # tuples; the star fixes c, so the regular-embedding space is empty and starts no thread
+    checks = ("a-prime", "parity-h", "oracle-equivalence", "mult-formula", "regular-embedding")
+    inputs = [(c, SMALL) for c in checks]
     inputs.append(("structure-theorems", Bounds(max_rho=2, max_ell=2)))
     for check, bounds in inputs:
         one = verify(check, SWAP3, bounds, jobs=1)
