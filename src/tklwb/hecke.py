@@ -15,6 +15,14 @@ basis element and products ``t_u b_y``).  There are two independent routes:
 * ``oracle_row`` solves for the bar-invariant basis element of ``w``
   directly: walking the Bruhat interval downward, it extracts at each index
   the unique coefficient with strictly negative v-support, by no recurrence.
+  The solve (`solve_bar_triangular`) keeps the whole row in one Kronecker
+  frame, ``v**-len(w)``: every coefficient and every slot of the summed bar
+  images is one packed integer, a bar image scatters by one multiply, shift
+  and add per entry, and the leaf at each index is one digit cut
+  (`laurent.low_digits`), one digit reversal (`laurent.mirror`) and one
+  integer comparison.  A running bound on the row's digits stops the solve
+  before one could reach ``2**63``; polynomials are made only for the
+  finished row.
 * ``p`` evaluates the universal recurrence (`_Table._step`) on single
   values; `basis_element` applies it to whole elements with `gen_step`.
   The tests hold the basis elements to ``p``, and ``oracle-equivalence``
@@ -35,6 +43,7 @@ from types import MappingProxyType
 # InternalInconsistencyError is defined beside the arithmetic, whose overflow
 # guard raises it, and re-exported here for the solve checks' callers.
 from .laurent import InternalInconsistencyError, LaurentPoly, ONE, Q, ZERO, v_power
+from .laurent import _DIGIT, _HALF, _strip, low_digits, mirror  # the bar solve's packed frame
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -135,34 +144,70 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
 
     ``bar_of(x)`` is the bar image of the standard basis element of ``x`` (a
     sparse word -> polynomial map) and ``interval`` the indices below ``w``
-    in (length, lex) order.  The canonical element ``sum_x v**-len(w) P[x, w]
-    e_x`` is the unique bar-invariant one with ``P[w, w] = 1`` whose lower
-    coefficients have strictly negative v-support after shifting by
-    ``v**len(x)``: walking the interval backward extracts exactly that part.
-    The result is re-checked for bar-invariance and, entry by entry, by
-    `row_fault`; ``name`` labels the polynomials in error messages.
+    in (length, lex) order.  The canonical element ``sum_x c_x e_x``, with
+    ``c_x = v**-len(w) P[x, w]``, is the unique bar-invariant one with
+    ``c_w = v**-len(w)`` whose other ``c_x`` have strictly negative
+    v-support after shifting by ``v**len(x)``: walking the interval backward
+    extracts exactly that part.  ``name`` labels the polynomials in error
+    messages.
+
+    The whole row lives in one frame: every ``c_x`` and every slot of the
+    accumulated image ``sum_x bar(c_x) bar_of(x)`` is one packed integer
+    (the `laurent` digit layout) at the row low ``-len(w)``.  An image entry
+    ``f`` scatters into its slot as ``(f.n * r) << 64 (f.low + k)``, where
+    ``r`` is the packed ``bar(c_x)`` and ``k`` its low less the row low; an
+    entry below the frame is an error.  The leaf at ``x``, with ``t =
+    len(w) - len(x)``, reads its slot ``n``: ``c_x`` is the residue ``g`` of
+    its lowest ``t`` digits, and ``c_x - bar(c_x)`` must be the whole slot,
+    ``n == g - (mirror(g) << 64 (t + 1))``; the mirror is also the ``r``
+    that ``x`` scatters.  A running bound ``sum_x L1(c_x) max_y
+    L1(bar_of(x)[y])`` bounds every digit of every slot, and the solve stops
+    before it reaches ``2**63``, so no digit overflows unseen.  At the end
+    every nonzero slot must be its coefficient (bar-invariance), and each
+    entry, made a polynomial only then, must pass `row_fault`.
     """
-    coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
-    barred: dict[Word, LaurentPoly] = {}
-    add_scaled(barred, bar_of(w), v_power(len(w)))
+    top = len(w)
+    acc: dict[Word, int] = {}  # the slots, at the row low
+    get = acc.get
+    coeffs: dict[Word, tuple[int, int]] = {}  # x -> (c_x at the row low, its L1 norm)
+    bound = 0
     for x in reversed(interval):  # words of one length are incomparable
-        if x == w:
-            continue
-        rhs = barred.get(x, ZERO).shift(len(x))
-        g = rhs.negative_part()
-        if g - g.bar() != rhs:
+        if x == w:  # c_w = v**-len(w) is 1 in the frame, bar(c_w) = v**len(w)
+            g = r = norm = 1
+            k = 2 * top
+        else:
+            t = top - len(x)
+            n = get(x, 0)
+            g = low_digits(n, t)
+            r, norm = mirror(g, t)
+            if n != g - (r << (_DIGIT * (t + 1))):
+                rhs = _strip(-t, n, 0)  # decoded for the message only
+                raise InternalInconsistencyError(
+                    f"{name} bar solve stuck at {x} below {w}: rhs {rhs}"
+                )
+            if not g:
+                continue
+            k = top + len(x) + 1  # bar(c_x) = v**(len(x) + 1) r
+        coeffs[x] = g, norm
+        image = bar_of(x)
+        bound += norm * max((f.bound for f in image.values()), default=0)
+        if bound >= _HALF:
             raise InternalInconsistencyError(
-                f"{name} bar solve stuck at {x} below {w}: rhs {rhs}"
+                f"{name} bar solve for {w} could reach 2^63 at {x}"
             )
-        if g:
-            px = g.shift(-len(x))
-            coeffs[x] = px
-            add_scaled(barred, bar_of(x), px.bar())
-    if barred != coeffs:
+        shift = _DIGIT * k
+        try:
+            for y, f in image.items():
+                acc[y] = get(y, 0) + ((f.n * r) << (_DIGIT * f.low + shift))
+        except ValueError:  # a negative shift count
+            raise InternalInconsistencyError(
+                f"{name} bar image of {x} reaches below the frame of {w}"
+            ) from None
+    if {y: n for y, n in acc.items() if n} != {x: g for x, (g, _) in coeffs.items()}:
         raise InternalInconsistencyError(f"solved {name} element for {w} is not bar-invariant")
     row: dict[Word, LaurentPoly] = {}
     for x in interval:
-        p = coeffs.get(x, ZERO).shift(len(w))
+        p = _strip(0, *coeffs.get(x, (0, 0)))
         fault = row_fault(x, w, p)
         if fault:
             raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} {fault}")

@@ -7,8 +7,10 @@ add, subtract adds the negation, multiply is one integer product, and
 ``==`` compares ``(low, n)``: the form is canonical because the lowest
 digit is never zero (zero is ``(0, 0)``) and a digit string with every
 digit in ``(-2**63, 2**63)`` is the only one for its integer.  Only the
-leaves (``str``, `LaurentPoly.coefficient`, `LaurentPoly.bar`, the sign
-and support tests) decode digits.
+leaves (``str``, `LaurentPoly.coefficient`, the sign and support tests,
+and `mirror`, which reverses a digit string for `LaurentPoly.bar` and for
+the bar solve of `hecke`) decode digits; `low_digits` cuts a value to its
+lowest digits without decoding them.
 
 Coefficients must have magnitude below ``2**63``.  The constructor and
 `parse_poly` reject a larger one with ``ValueError``; arithmetic carries an
@@ -64,6 +66,27 @@ def _pack(digits, width: int = _DIGIT) -> int:
     for a in reversed(digits):
         n = (n << width) + a
     return n
+
+
+def low_digits(n: int, t: int) -> int:
+    """The integer of the lowest ``t`` signed digits of ``n``: its residue
+    mod ``2**(64 t)`` nearest zero, and 0 if ``t <= 0``."""
+    if t <= 0:
+        return 0
+    half = _HALF << (_DIGIT * (t - 1))
+    return ((n + half) & ((half << 1) - 1)) - half
+
+
+def mirror(n: int, t: int) -> tuple[int, int]:
+    """The integer whose signed digits are the lowest ``t`` of ``n`` in
+    reverse order, and the L1 norm of those digits."""
+    m = norm = 0
+    for _ in range(t):
+        a = ((n + _HALF) & _MASK) - _HALF
+        n = (n - a) >> _DIGIT
+        m = (m << _DIGIT) + a
+        norm += abs(a)
+    return m, norm
 
 
 _new = object.__new__
@@ -223,8 +246,8 @@ class LaurentPoly:
         """The bar involution ``v -> v**-1`` (a ring involution)."""
         if not self.n:
             return self
-        digits = _digits(self.n)
-        return _make(1 - self.low - len(digits), _pack(digits[::-1]), self.bound)
+        t = self.max_exp() - self.low + 1  # the digit count
+        return _make(1 - self.low - t, mirror(self.n, t)[0], self.bound)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``v**k``."""
@@ -254,19 +277,6 @@ class LaurentPoly:
     def max_exp(self) -> int:
         n = self.n
         return self.low + (n.bit_length() // _DIGIT) if n else 0
-
-    def negative_part(self) -> "LaurentPoly":
-        """The terms with strictly negative v-exponent."""
-        t = -self.low
-        if t <= 0:
-            return ZERO
-        n = self.n
-        # the digits below t are the residue of n mod 2**(64 t) nearest 0
-        half = _HALF << (_DIGIT * (t - 1))
-        low_part = ((n + half) & ((half << 1) - 1)) - half
-        if low_part == n:
-            return self
-        return _make(self.low, low_part, self.bound)
 
     def is_q_poly(self) -> bool:
         low = self.low

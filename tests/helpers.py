@@ -2,10 +2,11 @@
 elements, the parameter-``q**2`` action on the module, the bar involutions
 on whole elements, the dagger anti-automorphism, the direct triple product,
 the difference recurrences of the twisted polynomials, and step-by-step
-references for the closed-form products."""
+references for the closed-form products and for the packed bar solve."""
 
 from tklwb.hecke import (
     Elt,
+    InternalInconsistencyError,
     KLTable,
     Q_PLUS_QINV,
     V_PLUS_VINV,
@@ -14,6 +15,7 @@ from tklwb.hecke import (
     expand_triangular,
     gen_mul_left,
     kl_correction,
+    row_fault,
 )
 from tklwb.laurent import LaurentPoly, ONE, ZERO, substitute_v_squared, v_power
 from tklwb.twisted import TwistedKLTable, bar_basis, gen_action
@@ -212,3 +214,36 @@ def twisted_product_reference(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
         for z in twisted_correction_reference(spec, base, j):
             out[z] = out.get(z, ZERO) + factor
     return out
+
+
+def solve_bar_triangular_reference(w: Word, interval, bar_of, name: str) -> dict[Word, LaurentPoly]:
+    """`hecke.solve_bar_triangular` on `LaurentPoly` values, one
+    `add_scaled` per bar image: the row ``x -> P[x, w]`` of the transition
+    matrix to the canonical basis, re-checked for bar-invariance and, entry
+    by entry, by `row_fault`."""
+    coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
+    barred: dict[Word, LaurentPoly] = {}
+    add_scaled(barred, bar_of(w), v_power(len(w)))
+    for x in reversed(interval):  # words of one length are incomparable
+        if x == w:
+            continue
+        rhs = barred.get(x, ZERO).shift(len(x))
+        g = LaurentPoly({k: a for k, a in rhs.c.items() if k < 0})
+        if g - g.bar() != rhs:
+            raise InternalInconsistencyError(
+                f"{name} bar solve stuck at {x} below {w}: rhs {rhs}"
+            )
+        if g:
+            px = g.shift(-len(x))
+            coeffs[x] = px
+            add_scaled(barred, bar_of(x), px.bar())
+    if barred != coeffs:
+        raise InternalInconsistencyError(f"solved {name} element for {w} is not bar-invariant")
+    row: dict[Word, LaurentPoly] = {}
+    for x in interval:
+        p = coeffs.get(x, ZERO).shift(len(w))
+        fault = row_fault(x, w, p)
+        if fault:
+            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} {fault}")
+        row[x] = p
+    return row

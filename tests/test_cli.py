@@ -229,6 +229,30 @@ def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_a_huge_bar_image_exits_3(capsys, monkeypatch):
+    # a coefficient of 2^62 in one bar image: the oracle stops before any
+    # digit of its packed row could pass 2^63, and never returns a wrong row
+    import tklwb.hecke as hecke
+    from tklwb.laurent import const
+    from tklwb.words import parse_word
+
+    real = hecke.bar_t
+    ab = parse_word("ab", 3)
+
+    def corrupted(word):
+        if word == ab:
+            out = dict(real(word))  # the cached dict is shared: copy it
+            out[()] = const(2**62)
+            return out
+        return real(word)
+
+    monkeypatch.setattr(hecke, "bar_t", corrupted)
+    with pytest.raises(hecke.InternalInconsistencyError, match=r"could reach 2\^63"):
+        KLTable().oracle_row(parse_word("abcab", 3))
+    code, out = run(capsys, "--gens", "3", "verify", "a")
+    assert (code, out) == (3, "")
+
+
 def test_coefficient_overflow_exits_3(capsys, monkeypatch):
     from tklwb.laurent import parse_poly
     import tklwb.cli as cli

@@ -2,7 +2,13 @@
 
 import pytest
 
-from helpers import bar_hecke, dagger_hecke, mul, triple_product_direct
+from helpers import (
+    bar_hecke,
+    dagger_hecke,
+    mul,
+    solve_bar_triangular_reference,
+    triple_product_direct,
+)
 from tklwb.hecke import (
     ALGEBRA_T_S_INVERSE,
     KLTable,
@@ -302,6 +308,44 @@ def test_oracle_detects_corruption(monkeypatch):
     monkeypatch.setattr(hecke, "bar_t", corrupted)
     with pytest.raises(hecke.InternalInconsistencyError):
         KLTable().oracle_row(w("aba"))
+
+
+def test_an_image_below_the_frame_is_an_inconsistency(monkeypatch):
+    # bar(t_x) lies in v**-2len(x) .. v**0; far below it, the packed scatter
+    # would shift by a negative count
+    import tklwb.hecke as hecke
+
+    real = hecke.bar_t
+
+    def corrupted(word):
+        if word == w("ab"):
+            out = dict(real(word))  # the cached dict is shared: copy it
+            out[()] = v_power(-100)
+            return out
+        return real(word)
+
+    monkeypatch.setattr(hecke, "bar_t", corrupted)
+    with pytest.raises(hecke.InternalInconsistencyError, match="below the frame"):
+        KLTable().oracle_row(w("aba"))
+
+
+@pytest.mark.parametrize("star", [None, "(a b)", "id"])
+def test_oracle_rows_match_the_reference_solver(star):
+    """Every packed row is the `LaurentPoly` solve's, entry by entry, at
+    gens 3: the KL rows for ell <= 8 and the twisted rows for rho <= 5."""
+    from tklwb.twisted import TwistedKLTable
+
+    if star is None:
+        table, words = KLTable(), enumerate_words(3, 8)
+    else:
+        spec = CoxeterSpec.make(3, star)
+        table, words = TwistedKLTable(spec), enumerate_twisted_involutions(spec, 5)
+    for word in words:
+        got = table.oracle_row(word)
+        want = solve_bar_triangular_reference(word, table.interval(word), table._bar, table.name)
+        assert {y: (p.low, p.n) for y, p in got.items()} == {
+            y: (p.low, p.n) for y, p in want.items()
+        }
 
 
 # -- fast recurrence ------------------------------------------------------------

@@ -9,6 +9,7 @@ from tklwb import hecke
 from tklwb.laurent import (
     InternalInconsistencyError,
     LaurentPoly,
+    _strip,
     ONE,
     ParityError,
     Q,
@@ -18,6 +19,8 @@ from tklwb.laurent import (
     as_q_poly,
     const,
     halve_sum,
+    low_digits,
+    mirror,
     parity_equal,
     parse_poly,
     substitute_q_squared,
@@ -136,12 +139,17 @@ def test_halves_reconstruct(f, g):
     assert plus - minus == g
 
 
+def negative_part(p: LaurentPoly) -> LaurentPoly:
+    """The terms of ``p`` below ``v**0``, cut from its digits by `low_digits`."""
+    return _strip(p.low, low_digits(p.n, -p.low), p.bound)
+
+
 def test_inspection():
     assert (ONE + Q).is_nonnegative()
     assert not (ONE - Q).is_nonnegative()
     assert (V + 2 * v_power(3)).coefficient(3) == 2
-    assert (V + ONE).negative_part() == ZERO
-    assert (v_power(-1) + V).negative_part() == v_power(-1)
+    assert negative_part(V + ONE) == ZERO
+    assert negative_part(v_power(-1) + V) == v_power(-1)
 
 
 # -- text form ----------------------------------------------------------------
@@ -227,11 +235,22 @@ def test_packed_leaves_read_the_terms(terms):
         assert p.coefficient(k) == terms.get(k, 0)
     assert p.min_exp() == min(terms, default=0)
     assert p.max_exp() == max(terms, default=0)
-    assert p.negative_part().c == {k: a for k, a in terms.items() if k < 0}
+    assert negative_part(p).c == {k: a for k, a in terms.items() if k < 0}
     assert p.bar().c == {-k: a for k, a in terms.items()}
     assert p.is_nonnegative() == all(a >= 0 for a in terms.values())
     assert p.is_q_poly() == all(k >= 0 and k % 2 == 0 for k in terms)
     assert parse_poly(str(p)) == p
+
+
+@settings(derandomize=True)
+@given(wide_terms, st.integers(0, 3))
+def test_mirror_reverses_a_digit_window(terms, pad):
+    p = LaurentPoly(terms)
+    t = (p.max_exp() - p.low + 1 if p else 0) + pad  # zeros above the top digit
+    m, norm = mirror(p.n, t)
+    assert norm == sum(map(abs, terms.values()))
+    assert _strip(1 - p.low - t, m, norm) == p.bar()
+    assert mirror(p.n, pad) == mirror(low_digits(p.n, pad), pad)  # only the window is read
 
 
 def test_digits_that_change_sign():
@@ -240,7 +259,7 @@ def test_digits_that_change_sign():
     assert (p.coefficient(0), p.coefficient(1), p.coefficient(2)) == (-1, 1, 0)
     assert p.max_exp() == 1
     assert p.bar() == v_power(-1) - ONE
-    assert p.shift(-1).negative_part() == -v_power(-1)
+    assert negative_part(p.shift(-1)) == -v_power(-1)
     assert not p.is_nonnegative()
     edge = LaurentPoly({0: -FITS, 1: FITS, 3: -FITS})
     assert [edge.coefficient(k) for k in range(5)] == [-FITS, FITS, 0, -FITS, 0]
