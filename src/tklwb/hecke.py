@@ -47,10 +47,12 @@ from .laurent import _DIGIT, _HALF, _strip, low_digits, mirror  # the bar solve'
 from .words import (
     CoxeterSpec,
     IDENTITY,
+    ONE_LETTER,
     Word,
     bruhat_leq,
     check_twisted_involution,
     dagger,
+    format_word,
     inverse,
     lower_words,
     multiply,
@@ -116,7 +118,7 @@ def gen_step(rules: dict, move, s: int, m: Elt) -> Elt:
 
 def _left(s: int, w: Word) -> Word:
     """``s w`` as a reduced word: `multiply` for one letter, without its loop."""
-    return w[1:] if w and w[0] == s else (s,) + w
+    return w[1:] if w and w[0] == s else ONE_LETTER[s] + w
 
 
 def gen_mul_left(s: int, h: Elt) -> Elt:
@@ -149,7 +151,7 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
     ``c_w = v**-len(w)`` whose other ``c_x`` have strictly negative
     v-support after shifting by ``v**len(x)``: walking the interval backward
     extracts exactly that part.  ``name`` labels the polynomials in error
-    messages.
+    messages, which print words as letters.
 
     The whole row lives in one frame: every ``c_x`` and every slot of the
     accumulated image ``sum_x bar(c_x) bar_of(x)`` is one packed integer
@@ -183,7 +185,7 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
             if n != g - (r << (_DIGIT * (t + 1))):
                 rhs = _strip(-t, n, 0)  # decoded for the message only
                 raise InternalInconsistencyError(
-                    f"{name} bar solve stuck at {x} below {w}: rhs {rhs}"
+                    f"{name} bar solve stuck at {format_word(x)} below {format_word(w)}: rhs {rhs}"
                 )
             if not g:
                 continue
@@ -193,7 +195,7 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
         bound += norm * max((f.bound for f in image.values()), default=0)
         if bound >= _HALF:
             raise InternalInconsistencyError(
-                f"{name} bar solve for {w} could reach 2^63 at {x}"
+                f"{name} bar solve for {format_word(w)} could reach 2^63 at {format_word(x)}"
             )
         shift = _DIGIT * k
         try:
@@ -201,16 +203,19 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
                 acc[y] = get(y, 0) + ((f.n * r) << (_DIGIT * f.low + shift))
         except ValueError:  # a negative shift count
             raise InternalInconsistencyError(
-                f"{name} bar image of {x} reaches below the frame of {w}"
+                f"{name} bar image of {format_word(x)} reaches below the frame of {format_word(w)}"
             ) from None
     if {y: n for y, n in acc.items() if n} != {x: g for x, (g, _) in coeffs.items()}:
-        raise InternalInconsistencyError(f"solved {name} element for {w} is not bar-invariant")
+        raise InternalInconsistencyError(
+            f"solved {name} element for {format_word(w)} is not bar-invariant"
+        )
     row: dict[Word, LaurentPoly] = {}
     for x in interval:
         p = _strip(0, *coeffs.get(x, (0, 0)))
         fault = row_fault(x, w, p)
         if fault:
-            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} {fault}")
+            entry = f"{name}[{format_word(x)}, {format_word(w)}]"
+            raise InternalInconsistencyError(f"{entry} = {p} {fault}")
         row[x] = p
     return row
 
@@ -292,11 +297,11 @@ class _Table:
     the oracle rows are kept separate so the two routes stay independent.
     Returned rows, basis elements, products and intervals are shared through
     the memos; treat them as immutable.  Every caller reads intervals here,
-    so each is built once per table, and its words are the tuples of the
+    so each is built once per table, and its words are the objects of the
     memo keys.
 
     The recurrence memo is kept in rows ``w -> {y -> value}``, keyed by the
-    table's one tuple per word, and holds one object per distinct value: a
+    table's one object per word, and holds one object per distinct value: a
     pool keyed by ``(low, n)`` holds every value `_p` stores, every value
     `seed` loads and every entry of an oracle row (values compare by
     ``(low, n)``, so sharing one does not tie the two routes together).
@@ -311,7 +316,7 @@ class _Table:
     def __init__(self) -> None:
         self._memo: dict[Word, dict[Word, LaurentPoly]] = {}
         self._pool: dict[tuple[int, int], LaurentPoly] = {(ONE.low, ONE.n): ONE}
-        self._words: dict[Word, Word] = {}  # one tuple per word in memo keys and intervals
+        self._words: dict[Word, Word] = {}  # one object per word in memo keys and intervals
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
         self._basis: dict[Word, Elt] = {}
         self._products: dict[tuple[Word, Word], Elt] = {}
@@ -319,8 +324,9 @@ class _Table:
 
     def p(self, y: Word, w: Word) -> LaurentPoly:
         """The polynomial ``[y, w]`` by the recurrence, memoized.  A pair more
-        than `_MAX_DEPTH` levels down is solved first, then the solve resumes."""
-        pending = [(y, w)]
+        than `_MAX_DEPTH` levels down is solved first, then the solve resumes.
+        Any sequence of generator indices is made a `Word` once, here."""
+        pending = [(bytes(y), bytes(w))]
         while pending:
             try:
                 got = self._p(*pending[-1], 0)
@@ -408,7 +414,7 @@ class _Table:
     def _minus(self, s: int, w1: Word) -> tuple[Word, ...]:
         """For `_build`: ``w2 = w1[_strip]`` when ``s`` is again its descent."""
         w2 = w1[self._strip]
-        return (w2,) if w2[:1] == (s,) else ()
+        return (w2,) if w2[:1] == ONE_LETTER[s] else ()
 
     def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
         """``[y, w]`` by descent reduction plus the universal recurrence.

@@ -8,9 +8,9 @@ add, subtract adds the negation, multiply is one integer product, and
 digit is never zero (zero is ``(0, 0)``) and a digit string with every
 digit in ``(-2**63, 2**63)`` is the only one for its integer.  Only the
 leaves (``str``, `LaurentPoly.coefficient`, the sign and support tests,
-and `mirror`, which reverses a digit string for `LaurentPoly.bar` and for
-the bar solve of `hecke`) decode digits; `low_digits` cuts a value to its
-lowest digits without decoding them.
+and `mirror`, which reverses a digit string for the bar solve of `hecke`)
+decode digits; `low_digits` cuts a value to its lowest digits without
+decoding them.
 
 Coefficients must have magnitude below ``2**63``.  The constructor and
 `parse_poly` reject a larger one with ``ValueError``; arithmetic carries an
@@ -241,13 +241,6 @@ class LaurentPoly:
         return p
 
     __rmul__ = __mul__
-
-    def bar(self) -> "LaurentPoly":
-        """The bar involution ``v -> v**-1`` (a ring involution)."""
-        if not self.n:
-            return self
-        t = self.max_exp() - self.low + 1  # the digit count
-        return _make(1 - self.low - t, mirror(self.n, t)[0], self.bound)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by ``v**k``."""

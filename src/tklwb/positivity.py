@@ -51,6 +51,7 @@ from .twisted import (
 from .words import (
     CoxeterSpec,
     DEFAULT_CAP,
+    ONE_LETTER,
     Word,
     bruhat_leq,
     bruhat_leq_twisted,
@@ -309,11 +310,11 @@ def _eval_rho_grading(state, t):
     ls = ell_star(spec, w)
     if 2 * r != len(w) + ls:
         yield _violation((w,), f"2*rho = {2 * r} but ell + ell_star = {len(w) + ls}")
-    for s in range(spec.gen_count):
+    for s, sw in enumerate(ONE_LETTER[: spec.gen_count]):
         down = rho(spec, twist(spec, s, w)) == r - 1
-        shorter = len(multiply((s,), w)) == len(w) - 1
+        shorter = len(multiply(sw, w)) == len(w) - 1
         if down != shorter:
-            yield _violation((w, (s,)), "rank step disagrees with length step under twist")
+            yield _violation((w, sw), "rank step disagrees with length step under twist")
 
 
 def _eval_bruhat_agreement(state, t):
@@ -340,22 +341,22 @@ def _eval_msigma_closed_form(state, t):
     spec, _, ttable = state
     y, w = t
     s = y[0]
-    expected = twisted_product(spec, (s,), w).get(y, ZERO)
+    expected = twisted_product(spec, y[:1], w).get(y, ZERO)
     got = ttable.cs_coefficient(y, w, s)
     if got != expected:
         yield _violation(
-            (y, w, (s,)), f"coefficient formula gives {got}, closed form gives {expected}"
+            (y, w, y[:1]), f"coefficient formula gives {got}, closed form gives {expected}"
         )
 
 
 def _eval_mult_formula(state, t):
     spec, table, ttable = state
     s, w = t
-    got = ttable.cs_action(s, w)
-    if got != twisted_product(spec, (s,), w):
-        yield _violation(((s,), w), "coefficient expansion disagrees with closed form")
-    if got != twisted_product_direct(spec, table, ttable, (s,), w):
-        yield _violation(((s,), w), "coefficient expansion disagrees with direct action")
+    got, sw = ttable.cs_action(s, w), ONE_LETTER[s]
+    if got != twisted_product(spec, sw, w):
+        yield _violation((sw, w), "coefficient expansion disagrees with closed form")
+    if got != twisted_product_direct(spec, table, ttable, sw, w):
+        yield _violation((sw, w), "coefficient expansion disagrees with direct action")
 
 
 def _eval_cs_recurrence(state, t):
@@ -394,7 +395,7 @@ def _eval_cs_recurrence(state, t):
             if bruhat_leq(y, z):  # agrees with the twisted order here
                 rhs = rhs - f * pf(y, z)
         if lhs != rhs:
-            yield _violation((y, w, (s,)), f"coefficient recurrence: lhs {lhs} != rhs {rhs}")
+            yield _violation((y, w, y[:1]), f"coefficient recurrence: lhs {lhs} != rhs {rhs}")
 
 
 def _eval_kl_structure(state, t):

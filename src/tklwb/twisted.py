@@ -51,6 +51,7 @@ from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_v_squared, v_p
 from .words import (
     CoxeterSpec,
     IDENTITY,
+    ONE_LETTER,
     Word,
     _fold,
     bruhat_leq,
@@ -93,7 +94,7 @@ def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
 @lru_cache(maxsize=None)
 def bar_basis(spec: CoxeterSpec, w: Word) -> Elt:
     """``bar(a_w) = T_s**-1 bar(a_{w[1:-1]})`` for ``s = w[0]``, and ``-T_s**-1 a_s``
-    at ``w = (s,)``.  Returned dicts are shared through the cache; treat them as immutable."""
+    at ``w = s``.  Returned dicts are shared through the cache; treat them as immutable."""
     if not w:
         return {IDENTITY: ONE}
     inner = {w: -ONE} if len(w) == 1 else bar_basis(spec, w[1:-1])
@@ -121,18 +122,18 @@ class TwistedKLTable(_Table):
         return lower_twisted(self.spec, w)
 
     def _minus(self, s: int, w1: Word) -> tuple[Word, ...]:
-        """`_Table._minus`, and ``(s,)`` when ``len(w1) == 1`` and ``s`` is star-fixed."""
+        """`_Table._minus`, and ``s`` when ``len(w1) == 1`` and ``s`` is star-fixed."""
         if len(w1) == 1 and self.spec.star[s] == s:
-            return ((s,),)
+            return (ONE_LETTER[s],)
         return super()._minus(s, w1)
 
     def _bar(self, x: Word) -> Elt:
         return bar_basis(self.spec, x)
 
     def p(self, y: Word, w: Word) -> LaurentPoly:
-        """`_Table.p` on checked words: the recurrence only twists them."""
-        spec = self.spec
-        return super().p(check_twisted_involution(spec, y), check_twisted_involution(spec, w))
+        """`_Table.p` on checked words, made `bytes` first: the recurrence only twists them."""
+        y, w = (check_twisted_involution(self.spec, bytes(u)) for u in (y, w))
+        return super().p(y, w)
 
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         """`_Table.p_oracle`; the row of ``w`` holds only twisted involutions,
@@ -152,7 +153,7 @@ class TwistedKLTable(_Table):
         s = w[0]
         if not y and len(w) != 3 and self.spec.star[s] == s:
             w1 = w[1:-1]
-            res = res + Q * (self._p(IDENTITY, w1, depth) - self._p((s,), w1, depth))
+            res = res + Q * (self._p(IDENTITY, w1, depth) - self._p(ONE_LETTER[s], w1, depth))
         return res
 
     # -- top coefficient data -----------------------------------------------
@@ -213,7 +214,7 @@ class TwistedKLTable(_Table):
         if w and w[0] == s:
             return {w: Q_PLUS_QINV}
         t = twist(spec, s, w)
-        lead = V_PLUS_VINV if t == multiply((s,), w) else ONE
+        lead = V_PLUS_VINV if t == multiply(ONE_LETTER[s], w) else ONE
         out: Elt = {t: lead}
         for y in self.interval(t):
             if y != t and y and y[0] == s:

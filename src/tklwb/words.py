@@ -2,10 +2,10 @@
 
 A universal Coxeter system on generators ``0, ..., n-1`` imposes no relation
 besides each generator squaring to the identity, so group elements correspond
-one-to-one to words with no two equal adjacent letters.  Words are stored as
-tuples of generator indices; the empty tuple is the identity and prints as
-``"e"``.  For I/O, generators are rendered as the letters ``a``-``z``, which
-caps the rank at 26.
+one-to-one to words with no two equal adjacent letters.  Words are ``bytes``
+of generator indices (`ONE_LETTER` holds the one-letter ones); ``b""`` is the
+identity and prints as ``"e"``.  For I/O, generators are rendered as the
+letters ``a``-``z``, which caps the rank at 26.
 
 On top of the free word arithmetic this module implements the apparatus of a
 diagram involution ``*`` (an order <= 2 permutation of the generators): the
@@ -16,7 +16,7 @@ and their rank function ``rho``, the companion statistic ``ell_star`` with
 order on both the full group and the twisted involutions.  With no braid
 relations a twisted involution ends in the star of its first letter, so all
 of these are closed forms: ``s # w`` strips both ends of ``w`` when
-``s == w[0]`` and wraps it in ``s ... s*`` otherwise (``(s,)`` at the
+``s == w[0]`` and wraps it in ``s ... s*`` otherwise (``s`` alone at the
 identity when ``s* == s``); the twist expression is the first half
 ``w[:(len(w)+1)//2]``; the twisted involutions of rank ``<= r`` are the folds
 of the reduced words of length ``<= r``, and those below ``w`` the folds of
@@ -29,15 +29,16 @@ module keeps no caches or other state.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
-Word = tuple[int, ...]
+Word = bytes
 
-IDENTITY: Word = ()
+IDENTITY: Word = b""
 
 LETTERS = string.ascii_lowercase
 MAX_GENERATORS = len(LETTERS)
+ONE_LETTER: tuple[Word, ...] = tuple(bytes((s,)) for s in range(MAX_GENERATORS))
 _LETTER_BYTES = LETTERS.encode().ljust(256, b"\xff")  # index -> letter; 0xff decodes to no text
 
 # Enumerations refuse to grow past this many elements unless overridden.
@@ -66,6 +67,7 @@ class CoxeterSpec:
 
     gen_count: int
     star: tuple[int, ...]
+    star_table: bytes = field(init=False, repr=False, compare=False)  # star for bytes.translate
 
     def __post_init__(self) -> None:
         if not 1 <= self.gen_count <= MAX_GENERATORS:
@@ -74,9 +76,10 @@ class CoxeterSpec:
             )
         if sorted(self.star) != list(range(self.gen_count)):
             raise GeneratorError(f"star must permute 0..{self.gen_count - 1}")
-        for i, j in enumerate(self.star):
-            if self.star[j] != i:
-                raise GeneratorError("star must be an involution")
+        table = bytes(self.star) + bytes(range(self.gen_count, 256))  # the rest map to themselves
+        if table.translate(table) != bytes(range(256)):
+            raise GeneratorError("star must be an involution")
+        object.__setattr__(self, "star_table", table)
 
     @classmethod
     def make(cls, gen_count: int, star: str = "id") -> "CoxeterSpec":
@@ -95,11 +98,11 @@ def reduce_word(letters: Iterable[int], gen_count: int) -> Word:
     """Reduce a raw generator sequence by cancelling equal adjacent letters.
 
     >>> reduce_word([0, 1, 1, 0], 3)
-    ()
+    b''
     >>> reduce_word([0, 1, 0], 3)
-    (0, 1, 0)
+    b'\\x00\\x01\\x00'
     >>> reduce_word([0, 1, 1, 0, 2], 3)
-    (2,)
+    b'\\x02'
     """
     out: list[int] = []
     for s in letters:
@@ -109,18 +112,18 @@ def reduce_word(letters: Iterable[int], gen_count: int) -> Word:
             out.pop()
         else:
             out.append(s)
-    return tuple(out)
+    return bytes(out)
 
 
 def multiply(u: Word, w: Word) -> Word:
     """Product of two reduced words; cancellation happens only at the seam.
 
-    >>> multiply((0, 1), (1, 0))
-    ()
-    >>> multiply((0, 1), (0, 1))
-    (0, 1, 0, 1)
-    >>> multiply((0, 1, 0), (0, 2))
-    (0, 1, 2)
+    >>> multiply(bytes([0, 1]), bytes([1, 0]))
+    b''
+    >>> format_word(multiply(bytes([0, 1]), bytes([0, 1])))
+    'abab'
+    >>> format_word(multiply(bytes([0, 1, 0]), bytes([0, 2])))
+    'abc'
     """
     i = len(u)
     j = 0
@@ -136,21 +139,21 @@ def inverse(w: Word) -> Word:
 
 def star_word(spec: CoxeterSpec, w: Word) -> Word:
     """Apply the diagram involution letterwise."""
-    return tuple(spec.star[s] for s in w)
+    return w.translate(spec.star_table)
 
 
 def dagger(spec: CoxeterSpec, w: Word) -> Word:
     """Reversal composed with the diagram involution: ``dagger(w) = (w*)^-1``."""
-    return tuple(spec.star[s] for s in reversed(w))
+    return w[::-1].translate(spec.star_table)
 
 
 def bruhat_leq(y: Word, w: Word) -> bool:
     """Bruhat order: reduced words are unique here, so the order is the
     (greedy) subsequence test on the reduced words.
 
-    >>> bruhat_leq((1, 0), (0, 1, 0))
+    >>> bruhat_leq(bytes([1, 0]), bytes([0, 1, 0]))
     True
-    >>> bruhat_leq((1, 0, 1), (0, 1, 0))
+    >>> bruhat_leq(bytes([1, 0, 1]), bytes([0, 1, 0]))
     False
     """
     rest = iter(w)  # each ``in`` consumes ``w`` up to the letter it finds
@@ -193,8 +196,8 @@ def twist(spec: CoxeterSpec, s: int, w: Word) -> Word:
         return w[1:-1]
     t = spec.star[s]
     if not w and t == s:
-        return (s,)
-    return (s,) + w + (t,)
+        return ONE_LETTER[s]
+    return ONE_LETTER[s] + w + ONE_LETTER[t]
 
 
 def twist_word(spec: CoxeterSpec, x: Word, w: Word) -> Word:
@@ -217,7 +220,7 @@ def _fold(spec: CoxeterSpec, x: Word) -> Word:
     return x + d[1:] if x and d[0] == x[-1] else x + d
 
 
-def twist_expression(spec: CoxeterSpec, w: Word) -> tuple[int, ...]:
+def twist_expression(spec: CoxeterSpec, w: Word) -> Word:
     """The reduced twist expression ``(s_1, ..., s_k)`` of a twisted
     involution, ``w == s_1 # (... # (s_k # identity))``: the descents peeled
     off in turn, which are the first half of ``w``; its length is ``rho(w)``.
@@ -260,12 +263,7 @@ def enumerate_words(gen_count: int, max_len: int, cap: int = DEFAULT_CAP) -> lis
     out: list[Word] = [IDENTITY]
     level: list[Word] = [IDENTITY]
     for _ in range(max_len):
-        nxt = [
-            w + (s,)
-            for w in level
-            for s in range(gen_count)
-            if not w or w[-1] != s
-        ]
+        nxt = [w + ONE_LETTER[s] for w in level for s in range(gen_count) if not w or w[-1] != s]
         if len(out) + len(nxt) > cap:
             raise CapExceeded(f"enumeration exceeds cap of {cap} elements")
         out.extend(nxt)
@@ -296,7 +294,7 @@ def lower_words(w: Word) -> tuple[Word, ...]:
     """
     out: set[Word] = {IDENTITY}
     for s in w:
-        out |= {multiply(u, (s,)) for u in out}
+        out |= {multiply(u, ONE_LETTER[s]) for u in out}
     return tuple(sorted(out, key=word_key))
 
 
@@ -309,7 +307,7 @@ def lower_twisted(spec: CoxeterSpec, w: Word) -> tuple[Word, ...]:
 
 def format_word(w: Word) -> str:
     """Render a word as letters, or ``"e"`` for the identity."""
-    return bytes(w).translate(_LETTER_BYTES).decode() or "e"  # in C, no loop per letter
+    return w.translate(_LETTER_BYTES).decode() or "e"  # in C, no loop per letter
 
 
 def parse_word(text: str, gen_count: int) -> Word:

@@ -1,6 +1,6 @@
 """Operations only the test suite uses: the product of two algebra
 elements, the parameter-``q**2`` action on the module, the bar involutions
-on whole elements, the dagger anti-automorphism, the direct triple product,
+on polynomials and on whole elements, the dagger anti-automorphism, the direct triple product,
 the difference recurrences of the twisted polynomials, and step-by-step
 references for the closed-form products and for the packed bar solve."""
 
@@ -17,7 +17,7 @@ from tklwb.hecke import (
     kl_correction,
     row_fault,
 )
-from tklwb.laurent import LaurentPoly, ONE, ZERO, substitute_v_squared, v_power
+from tklwb.laurent import LaurentPoly, ONE, ZERO, _strip, mirror, substitute_v_squared, v_power
 from tklwb.twisted import TwistedKLTable, bar_basis, gen_action
 from tklwb.words import (
     CoxeterSpec,
@@ -25,6 +25,7 @@ from tklwb.words import (
     Word,
     bruhat_leq_twisted,
     dagger,
+    format_word,
     multiply,
     twist,
     twist_expression,
@@ -56,11 +57,20 @@ def hecke_action(spec: CoxeterSpec, h: Elt, m: Elt) -> Elt:
     return out
 
 
+def bar(p: LaurentPoly) -> LaurentPoly:
+    """The bar involution ``v -> v**-1`` (a ring involution): the digits
+    of ``p`` reversed by `laurent.mirror`."""
+    if not p:
+        return p
+    t = p.max_exp() - p.low + 1  # the digit count
+    return _strip(1 - p.low - t, mirror(p.n, t)[0], p.bound)
+
+
 def bar_hecke(h: Elt) -> Elt:
     """The bar involution: ``v -> v**-1`` on coefficients, ``t_w -> bar(t_w)``."""
     out: Elt = {}
     for w, f in h.items():
-        add_scaled(out, bar_t(w), f.bar())
+        add_scaled(out, bar_t(w), bar(f))
     return out
 
 
@@ -84,7 +94,7 @@ def bar_module(spec: CoxeterSpec, m: Elt) -> Elt:
     """The module bar operator, extended by ``bar`` on coefficients."""
     out: Elt = {}
     for w, f in m.items():
-        add_scaled(out, bar_basis(spec, w), f.bar())
+        add_scaled(out, bar_basis(spec, w), bar(f))
     return out
 
 
@@ -151,7 +161,7 @@ class DiffTable(TwistedKLTable):
 
 def alternating(count: int, last: int, other: int) -> Word:
     """Alternating word of ``count`` letters ending with ``last``."""
-    return tuple(
+    return bytes(
         last if (count - 1 - i) % 2 == 0 else other for i in range(count)
     )
 
@@ -229,21 +239,24 @@ def solve_bar_triangular_reference(w: Word, interval, bar_of, name: str) -> dict
             continue
         rhs = barred.get(x, ZERO).shift(len(x))
         g = LaurentPoly({k: a for k, a in rhs.c.items() if k < 0})
-        if g - g.bar() != rhs:
+        if g - bar(g) != rhs:
             raise InternalInconsistencyError(
-                f"{name} bar solve stuck at {x} below {w}: rhs {rhs}"
+                f"{name} bar solve stuck at {format_word(x)} below {format_word(w)}: rhs {rhs}"
             )
         if g:
             px = g.shift(-len(x))
             coeffs[x] = px
-            add_scaled(barred, bar_of(x), px.bar())
+            add_scaled(barred, bar_of(x), bar(px))
     if barred != coeffs:
-        raise InternalInconsistencyError(f"solved {name} element for {w} is not bar-invariant")
+        raise InternalInconsistencyError(
+            f"solved {name} element for {format_word(w)} is not bar-invariant"
+        )
     row: dict[Word, LaurentPoly] = {}
     for x in interval:
         p = coeffs.get(x, ZERO).shift(len(w))
         fault = row_fault(x, w, p)
         if fault:
-            raise InternalInconsistencyError(f"{name}[{x}, {w}] = {p} {fault}")
+            entry = f"{name}[{format_word(x)}, {format_word(w)}]"
+            raise InternalInconsistencyError(f"{entry} = {p} {fault}")
         row[x] = p
     return row

@@ -75,7 +75,7 @@ def test_mult_prints_the_coefficient_expansion(capsys, gens, star, max_rho):
             terms = ttable.cs_action(s, x)
             order = sorted(terms, key=lambda u: (-len(u), u))
             expected = "".join(f"{format_word(z)}\t{terms[z]}\n" for z in order)
-            argv = ["--gens", str(gens), "--star", star, "mult", format_word((s,)), format_word(x)]
+            argv = ["--gens", str(gens), "--star", star, "mult", "abcd"[s], format_word(x)]
             assert run(capsys, *argv) == (0, expected), argv
 
 
@@ -242,7 +242,7 @@ def test_a_huge_bar_image_exits_3(capsys, monkeypatch):
     def corrupted(word):
         if word == ab:
             out = dict(real(word))  # the cached dict is shared: copy it
-            out[()] = const(2**62)
+            out[b""] = const(2**62)
             return out
         return real(word)
 
@@ -728,7 +728,7 @@ def test_a_failed_dump_leaves_no_trace(tmp_path, capsys, monkeypatch):
     real, written = cli.twisted_product, []
 
     def failing(spec, x, y):
-        if x == (2, 1, 0):  # partway through the hsig rows
+        if x == bytes([2, 1, 0]):  # partway through the hsig rows
             written.extend(p.stat().st_size for p in tmp_path.glob("tables.tsv.*.tmp"))
             raise InternalInconsistencyError("stopped")
         return real(spec, x, y)

@@ -68,7 +68,7 @@ def reduced_words(draw, gens, shortest=3, longest=5):
         if word and s == word[-1]:
             s = (s + 1) % gens
         word.append(s)
-    return tuple(word)
+    return bytes(word)
 
 
 _SETTINGS = settings(derandomize=True, max_examples=75, deadline=None)
@@ -147,14 +147,14 @@ def test_cs_action_matches_the_closed_form(data):
     s = data.draw(st.integers(0, spec.gen_count - 1))
     # the fold of a reduced word of length 0-5 is a twisted involution of rank 0-5
     y = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0)), IDENTITY)
-    assert TwistedKLTable(spec).cs_action(s, y) == twisted_product(spec, (s,), y)
+    assert TwistedKLTable(spec).cs_action(s, y) == twisted_product(spec, bytes([s]), y)
 
 
 # -- metamorphic: symmetries of the recurrence ----------------------------------
 
 
 def relabel(label, u):
-    return tuple(label[s] for s in u)
+    return bytes(label[s] for s in u)
 
 
 @_SETTINGS

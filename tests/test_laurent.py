@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import bar
 from tklwb import hecke
 from tklwb.laurent import (
     InternalInconsistencyError,
@@ -85,9 +86,9 @@ def test_sub_matches_dense_reference(p, r):
 
 @given(polys, polys)
 def test_bar_is_a_ring_involution(p, r):
-    assert p.bar().bar() == p
-    assert (p * r).bar() == p.bar() * r.bar()
-    assert (p + r).bar() == p.bar() + r.bar()
+    assert bar(bar(p)) == p
+    assert bar(p * r) == bar(p) * bar(r)
+    assert bar(p + r) == bar(p) + bar(r)
 
 
 @given(polys)
@@ -103,10 +104,10 @@ def test_ring_examples():
 
 
 def test_bar_examples():
-    assert Q.bar() == v_power(-2)
+    assert bar(Q) == v_power(-2)
     vv = V + v_power(-1)
-    assert vv.bar() == vv
-    assert const(3).bar() == const(3)
+    assert bar(vv) == vv
+    assert bar(const(3)) == const(3)
 
 
 def test_q_poly_views():
@@ -236,7 +237,7 @@ def test_packed_leaves_read_the_terms(terms):
     assert p.min_exp() == min(terms, default=0)
     assert p.max_exp() == max(terms, default=0)
     assert negative_part(p).c == {k: a for k, a in terms.items() if k < 0}
-    assert p.bar().c == {-k: a for k, a in terms.items()}
+    assert bar(p).c == {-k: a for k, a in terms.items()}
     assert p.is_nonnegative() == all(a >= 0 for a in terms.values())
     assert p.is_q_poly() == all(k >= 0 and k % 2 == 0 for k in terms)
     assert parse_poly(str(p)) == p
@@ -249,7 +250,7 @@ def test_mirror_reverses_a_digit_window(terms, pad):
     t = (p.max_exp() - p.low + 1 if p else 0) + pad  # zeros above the top digit
     m, norm = mirror(p.n, t)
     assert norm == sum(map(abs, terms.values()))
-    assert _strip(1 - p.low - t, m, norm) == p.bar()
+    assert _strip(1 - p.low - t, m, norm) == LaurentPoly({-k: a for k, a in terms.items()})
     assert mirror(p.n, pad) == mirror(low_digits(p.n, pad), pad)  # only the window is read
 
 
@@ -258,12 +259,12 @@ def test_digits_that_change_sign():
     assert (p.low, p.n) == (0, 2**64 - 1)  # the digit -1 borrows from the digit 1
     assert (p.coefficient(0), p.coefficient(1), p.coefficient(2)) == (-1, 1, 0)
     assert p.max_exp() == 1
-    assert p.bar() == v_power(-1) - ONE
+    assert bar(p) == v_power(-1) - ONE
     assert negative_part(p.shift(-1)) == -v_power(-1)
     assert not p.is_nonnegative()
     edge = LaurentPoly({0: -FITS, 1: FITS, 3: -FITS})
     assert [edge.coefficient(k) for k in range(5)] == [-FITS, FITS, 0, -FITS, 0]
-    assert edge.bar().c == {0: -FITS, -1: FITS, -3: -FITS}
+    assert bar(edge).c == {0: -FITS, -1: FITS, -3: -FITS}
     assert str(edge) == f"-{FITS}+{FITS}v-{FITS}v^3"
 
 

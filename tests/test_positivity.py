@@ -32,7 +32,7 @@ def test_kl_halves_examples():
     table, tt = KLTable(), TwistedKLTable(ID3)
     pm = kl_halves(table, tt, w("aba"), w("aba"))
     assert (pm.plus, pm.minus) == (ONE, ZERO)
-    pm = kl_halves(table, tt, (), w("a"))
+    pm = kl_halves(table, tt, b"", w("a"))
     assert (pm.plus, pm.minus) == (ONE, ZERO)
 
 
@@ -50,9 +50,9 @@ def test_kl_halves_constant_terms():
 
 def test_product_halves_examples():
     vv = parse_poly("v^-1+v")
-    got = product_halves(ID3, (), w("b"))
+    got = product_halves(ID3, b"", w("b"))
     assert got == {w("b"): PlusMinusPair(ONE, ZERO)}
-    got = product_halves(ID3, w("a"), ())
+    got = product_halves(ID3, w("a"), b"")
     assert got == {w("a"): PlusMinusPair(vv, ZERO)}
 
 
@@ -128,7 +128,7 @@ def test_violations_are_recorded_not_raised():
     from tklwb.positivity import _CHECKS
 
     table = KLTable()
-    table.seed({((), w("abc")): parse_poly("1+q")})  # wrong on purpose
+    table.seed({(b"", w("abc")): parse_poly("1+q")})  # wrong on purpose
     state = (ID3, table, TwistedKLTable(ID3))
     found = [
         v

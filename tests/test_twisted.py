@@ -61,8 +61,8 @@ def melt(gens=3, **terms):
 
 
 def test_gen_action_examples():
-    assert gen_action(ID3, 0, {(): ONE}) == melt(e="q", a="1+q")
-    assert gen_action(SWAP2, 0, {(): ONE}) == melt(2, ab="1")
+    assert gen_action(ID3, 0, {b"": ONE}) == melt(e="q", a="1+q")
+    assert gen_action(SWAP2, 0, {b"": ONE}) == melt(2, ab="1")
     assert gen_action(ID3, 0, {w("a"): ONE}) == melt(e="-q+q^2", a="-1-q+q^2")
 
 
@@ -103,12 +103,12 @@ def test_gen_action_drops_cancelled_entries():
 
 def test_hecke_action_examples():
     m = melt(ab="v", e="1")
-    assert hecke_action(ID3, {(): ONE}, m) == m
-    lhs = hecke_action(ID3, {w("ab"): ONE}, {(): ONE})
-    rhs = gen_action(ID3, 0, gen_action(ID3, 1, {(): ONE}))
+    assert hecke_action(ID3, {b"": ONE}, m) == m
+    lhs = hecke_action(ID3, {w("ab"): ONE}, {b"": ONE})
+    rhs = gen_action(ID3, 0, gen_action(ID3, 1, {b"": ONE}))
     assert lhs == rhs
     # coefficients act through v -> v**2
-    assert hecke_action(ID3, {(): V}, {w("a"): ONE}) == {w("a"): Q}
+    assert hecke_action(ID3, {b"": V}, {w("a"): ONE}) == {w("a"): Q}
 
 
 def test_hecke_action_inverts_through_t_inverse():
@@ -138,9 +138,9 @@ def test_hecke_action_is_compatible_with_multiplication():
 
 
 def test_bar_examples():
-    assert bar_basis(ID3, ()) == {(): ONE}
+    assert bar_basis(ID3, b"") == {b"": ONE}
     assert bar_basis(ID3, w("a")) == melt(a="v^-2", e="-1+v^-2")
-    assert bar_module(ID3, {(): v_power(1)}) == {(): v_power(-1)}
+    assert bar_module(ID3, {b"": v_power(1)}) == {b"": v_power(-1)}
 
 
 def test_bar_is_involutive():
@@ -156,7 +156,7 @@ def test_bar_is_compatible_with_the_action():
             for s in range(spec.gen_count):
                 lhs = bar_module(spec, gen_action(spec, s, {word: ONE}))
                 rhs = hecke_action(
-                    spec, bar_hecke({(s,): ONE}), bar_module(spec, {word: ONE})
+                    spec, bar_hecke({bytes([s]): ONE}), bar_module(spec, {word: ONE})
                 )
                 assert lhs == rhs
 
@@ -199,8 +199,8 @@ def test_bar_basis_matches_the_defining_formula(gens, star, max_rho):
 
 def test_oracle_examples():
     tt = TwistedKLTable(ID3)
-    assert tt.oracle_row(()) == {(): ONE}
-    assert tt.oracle_row(w("a")) == {(): ONE, w("a"): ONE}
+    assert tt.oracle_row(b"") == {b"": ONE}
+    assert tt.oracle_row(w("a")) == {b"": ONE, w("a"): ONE}
 
 
 def test_p_oracle_reads_a_warm_row_without_order_tests(monkeypatch):
@@ -275,9 +275,37 @@ def test_p_examples():
     tt = TwistedKLTable(ID3)
     assert tt.p(w("aba"), w("aba")) == ONE
     assert tt.p(w("b"), w("aba")) == ONE
-    assert tt.p((), w("abcba")) == parse_poly("1+q")
+    assert tt.p(b"", w("abcba")) == parse_poly("1+q")
     tt2 = TwistedKLTable(SWAP2)
-    assert tt2.p((), w("ab", 2)) == ONE
+    assert tt2.p(b"", w("ab", 2)) == ONE
+
+
+def test_p_reads_tuple_words_as_bytes():
+    """`KLTable.p` and `TwistedKLTable.p` make their words `bytes` before any
+    check: tuples of generator indices give the values of their bytes, and
+    the memos behind them hold only `bytes`; a non-twisted tuple still fails
+    the check."""
+    four = partial(parse_word, gen_count=4)
+    kl_pairs = [
+        (four("bdac"), four("abcdabcdabcdabcd")),
+        (four("acbd"), four("abcdbadcabdcbadc")),
+        (four("e"), four("adcbabdcadbcdabc")),
+    ]
+    twisted_pairs = [
+        (twist_word(MIX4, four(y), b""), twist_word(MIX4, four(x), b""))
+        for y, x in [("acd", "abcdacbd"), ("e", "dcabdcab"), ("bcdb", "cabcdbda")]
+    ]
+    for make, pairs in ((KLTable, kl_pairs), (partial(TwistedKLTable, MIX4), twisted_pairs)):
+        table, as_tuples = make(), make()
+        for y, x in pairs:
+            assert len(x) >= 15
+            assert as_tuples.p(tuple(y), tuple(x)) == table.p(y, x)
+        for memo in (table, as_tuples):
+            assert memo.snapshot()  # the pairs were deep enough to be memoised
+            assert all(type(y) is bytes and type(x) is bytes for y, x in memo.snapshot())
+    for y, x in [((), (0, 1, 2)), ((0, 2), twisted_pairs[0][1])]:  # abc and ac
+        with pytest.raises(NotTwistedInvolution):
+            TwistedKLTable(MIX4).p(tuple(y), tuple(x))
 
 
 def test_p_matches_oracle():
@@ -361,8 +389,8 @@ def test_regular_embedding_of_structure_constants():
 
 def test_mu_examples():
     tt = TwistedKLTable(ID3)
-    assert tt.mu((), w("a")) == 1
-    assert tt.mu((), w("aba")) == 0
+    assert tt.mu(b"", w("a")) == 1
+    assert tt.mu(b"", w("aba")) == 0
     assert tt.nu(w("b"), w("aba")) == 1
 
 
@@ -383,13 +411,13 @@ def test_cs_coefficient_closed_form():
             if not word:
                 continue
             r = word[0]
-            rwr = multiply(multiply((r,), word), (spec.star[r],))
+            rwr = multiply(multiply(bytes([r]), word), bytes([spec.star[r]]))
             below = lower_twisted(spec, word)
             for y in below:
                 if not y or y[0] == r:
                     continue
                 s = y[0]
-                expected = ONE if (y == rwr or (y, word) == ((s,), (r,))) else ZERO
+                expected = ONE if (y == rwr or (y, word) == (bytes([s]), bytes([r]))) else ZERO
                 assert tt.cs_coefficient(y, word, s) == expected
 
 
@@ -398,11 +426,11 @@ def test_cs_action_examples():
     qq = parse_poly("v^-2+q")
     vv = parse_poly("v^-1+v")
     assert tt.cs_action(0, w("aba")) == {w("aba"): qq}
-    assert tt.cs_action(0, ()) == {w("a"): vv}
+    assert tt.cs_action(0, b"") == {w("a"): vv}
     assert tt.cs_action(0, w("b")) == {w("aba"): ONE, w("a"): ONE}
     assert twisted_product(ID3, w("a"), w("b")) == {w("aba"): ONE, w("a"): ONE}
     tt2 = TwistedKLTable(SWAP2)
-    assert tt2.cs_action(0, ()) == {w("ab", 2): ONE}
+    assert tt2.cs_action(0, b"") == {w("ab", 2): ONE}
 
 
 def test_mult_formula_builds_each_interval_once(monkeypatch):
@@ -428,8 +456,8 @@ def test_cs_action_three_routes_agree():
         for word in enumerate_twisted_involutions(spec, 3):
             for s in range(spec.gen_count):
                 got = tt.cs_action(s, word)
-                assert got == twisted_product(spec, (s,), word)
-                assert got == twisted_product_direct(spec, table, tt, (s,), word)
+                assert got == twisted_product(spec, bytes([s]), word)
+                assert got == twisted_product_direct(spec, table, tt, bytes([s]), word)
 
 
 # -- correction terms and products -------------------------------------------------
@@ -438,12 +466,12 @@ def test_cs_action_three_routes_agree():
 def test_twisted_correction_examples():
     for word in enumerate_twisted_involutions(ID3, 3):
         assert twisted_correction(ID3, word, 1) == {}
-    big = twist_word(ID3, w("aba"), ())
+    big = twist_word(ID3, w("aba"), b"")
     assert twisted_correction(ID3, big, 2) == {w("a"): ONE}
-    two = twist_word(ID3, w("ab"), ())
+    two = twist_word(ID3, w("ab"), b"")
     assert twisted_correction(ID3, two, 2) == {w("a"): ONE}
     # the rank case needs both trailing letters star-fixed
-    two_swapped = twist_word(SWAP3, w("ab"), ())
+    two_swapped = twist_word(SWAP3, w("ab"), b"")
     assert twisted_correction(SWAP3, two_swapped, 2) == {}
 
 
@@ -451,8 +479,8 @@ def test_twisted_product_examples():
     vv = parse_poly("v^-1+v")
     qq = parse_poly("v^-2+q")
     for y in enumerate_twisted_involutions(ID3, 2):
-        assert twisted_product(ID3, (), y) == {y: ONE}
-    assert twisted_product(ID3, w("a"), ()) == {w("a"): vv}
+        assert twisted_product(ID3, b"", y) == {y: ONE}
+    assert twisted_product(ID3, w("a"), b"") == {w("a"): vv}
     assert twisted_product(ID3, w("a"), w("a")) == {w("a"): qq}
 
 
@@ -485,7 +513,7 @@ def test_to_a_basis_round_trip():
 def test_diff_examples():
     tt = DiffTable(ID3)
     assert tt.diff(w("b"), w("b"), w("aba")) == ZERO
-    assert tt.diff((), w("abcba"), w("abcba")) == Q
+    assert tt.diff(b"", w("abcba"), w("abcba")) == Q
     with pytest.raises(ValueError):
         tt.diff(w("aba"), w("a"), w("aba"))
 
@@ -509,7 +537,7 @@ def test_diff_matches_direct_difference():
 
 def _alternating_from_start(count, first, second):
     """Alternating word of ``count`` letters starting with ``first``."""
-    return tuple(first if i % 2 == 0 else second for i in range(count))
+    return bytes(first if i % 2 == 0 else second for i in range(count))
 
 
 def diff_aux_sequences(spec, k, r, s, z):
@@ -526,14 +554,14 @@ def diff_aux_sequences(spec, k, r, s, z):
     for i in range(k, 0, -1):
         letter = r if (k - i) % 2 == 0 else s
         cur = ztilde[i + 1]
-        shorter = multiply(cur, (spec.star[letter],))
+        shorter = multiply(cur, bytes([spec.star[letter]]))
         ztilde[i] = shorter if len(shorter) < len(cur) else cur
     z_starred = []
     z_plain = []
     for i in range(1, k + 1):
         first, second = (r, s) if (k - i) % 2 == 0 else (s, r)
         tail = _alternating_from_start(i - 1, first, second)
-        z_starred.append(multiply(ztilde[i], tuple(spec.star[t] for t in tail)))
+        z_starred.append(multiply(ztilde[i], bytes(spec.star[t] for t in tail)))
         z_plain.append(multiply(ztilde[i], tail))
     return {
         "u": u,
@@ -546,10 +574,10 @@ def diff_aux_sequences(spec, k, r, s, z):
 def _aux_setup(spec, k, r, s, tail, z):
     """Build the standard difference-tree instance: the alternating prefix of
     k+1 letters starting with s, twisted onto the fold of ``tail``."""
-    prefix = tuple(s if i % 2 == 0 else r for i in range(k + 1))
-    u0 = twist_word(spec, tail, ())
+    prefix = bytes(s if i % 2 == 0 else r for i in range(k + 1))
+    u0 = twist_word(spec, tail, b"")
     word = twist_word(spec, prefix, u0)
-    a = tuple(s if (k - 1 - i) % 2 == 0 else r for i in range(k))
+    a = bytes(s if (k - 1 - i) % 2 == 0 else r for i in range(k))
     return word, a
 
 
@@ -566,7 +594,7 @@ def test_aux_sequence_identities():
             aux = diff_aux_sequences(spec, k, r, s, z)
             u, zt, zl = aux["u"], aux["ztilde"], aux["z"]
             w1 = twist_word(spec, a, word)
-            aws = multiply(multiply(a, word), (s,))
+            aws = multiply(multiply(a, word), bytes([s]))
             lhs1 = table.p(a, aws) - table.p(zt[k - 1], aws)
             rhs1 = sum(
                 (v_power(2 * i) * (table.p(u[i + 1], w1) - table.p(zl[i], w1))
@@ -574,7 +602,7 @@ def test_aux_sequence_identities():
                 ZERO,
             )
             assert lhs1 == rhs1
-            asr = multiply(multiply(a, (s,)), (r,))
+            asr = multiply(multiply(a, bytes([s])), bytes([r]))
             lhs2 = table.p(asr, aws) - table.p(zt[k - 1], aws)
             rhs2 = sum(
                 (v_power(2 * i) * (table.p(u[i], w1) - table.p(zl[i], w1))
