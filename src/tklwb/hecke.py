@@ -32,6 +32,20 @@ Products in the KL basis have a closed form for universal systems
 (`kl_product`, with the corrections of `kl_correction`), cross-checked
 against the direct route: the memoized products ``t_u b_y`` summed by
 `_Table.times`, then the triangular change of basis (`kl_product_direct`).
+The direct route runs on packed integers, in frames fixed by the words,
+as the solve does.  A packed element maps words to `laurent` digit strings
+at an implied low: ``v**-len(w)`` for the basis element of ``w`` (each
+entry is the string of ``[y, w]``), ``v**-len(y)`` for ``t_u b_y`` (every
+rule of `ALGEBRA_T_S` and `twisted.MODULE_T_S` has low >= 0, so a generator
+step stays in the frame) and the sum of the two frames for `_Table.times`.
+`expand_triangular` stays in the frame of its input, since the top term of
+each basis element cancels its slot exactly.  Each packed element carries
+one bound on its total L1 norm: a generator step multiplies it by the rule
+table's growth (`packed`), `add_scaled` adds the factor's norm times the
+bound of what it scales (in `_Table.times` the factors' norms sum to at
+most the bound of the left factor), and the route raises
+`InternalInconsistencyError` before it reaches ``2**63``.  Only the
+finished expansion becomes `LaurentPoly` values.
 """
 
 from __future__ import annotations
@@ -43,7 +57,7 @@ from types import MappingProxyType
 # InternalInconsistencyError is defined beside the arithmetic, whose overflow
 # guard raises it, and re-exported here for the solve checks' callers.
 from .laurent import InternalInconsistencyError, LaurentPoly, ONE, Q, ZERO, v_power
-from .laurent import _DIGIT, _HALF, _strip, low_digits, mirror  # the bar solve's packed frame
+from .laurent import _DIGIT, _HALF, _strip, l1_norm, low_digits, mirror, spread  # packed frames
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -62,16 +76,26 @@ V_PLUS_VINV = v_power(1) + v_power(-1)
 Q_PLUS_QINV = v_power(2) + v_power(-2)
 
 
-Elt = dict  # Word -> nonzero LaurentPoly: an algebra or a module element
+Elt = dict  # Word -> nonzero LaurentPoly, or packed int: an algebra or a module element
+Packed = tuple[dict[Word, int], int]  # (the slots of an element in its frame, an L1 bound)
 
 # `gen_step` rules of ``t_s`` and of ``t_s**-1 = q**-1 t_s + q**-1 - 1``
 ALGEBRA_T_S = {1: (ONE, ZERO), -1: (Q, Q - ONE)}
 ALGEBRA_T_S_INVERSE = {1: (v_power(-2), v_power(-2) - ONE), -1: (ONE, ZERO)}
 
 
+def packed(rules: dict) -> tuple[dict, int]:
+    """A `gen_step` rule table on packed integers, each rule at low 0 (a
+    rule below it is a ``ValueError``), and its growth: the largest
+    ``L1(a) + L1(b)``, by which one step can multiply an element's L1 norm."""
+    table = {k: tuple(f.n << (_DIGIT * f.low) for f in ab) for k, ab in rules.items()}
+    return table, max(l1_norm(a.n) + l1_norm(b.n) for a, b in rules.values())
+
+
 def add_scaled(acc: dict, terms: dict, factor) -> None:
-    """``acc += factor * terms`` for sparse word->polynomial maps whose
-    entries are nonzero; an entry that cancels is dropped."""
+    """``acc += factor * terms`` for sparse maps whose entries are nonzero
+    `LaurentPoly` values, or packed integers in one frame; an entry that
+    cancels is dropped."""
     if not factor:
         return
     get = acc.get
@@ -80,7 +104,7 @@ def add_scaled(acc: dict, terms: dict, factor) -> None:
         g = get(w)
         if g is None:
             acc[w] = f
-        elif (g := g + f).n:  # nonzero, without a call to __bool__
+        elif g := g + f:
             acc[w] = g
         else:
             del acc[w]
@@ -90,10 +114,13 @@ def gen_step(rules: dict, move, s: int, m: Elt) -> Elt:
     """One generator on an element: each ``e_w`` goes to ``a e_u + b e_w``,
     where ``u = move(s, w)`` and ``(a, b) = rules[len(u) - len(w)]``.
 
-    The one kernel of the algebra (`ALGEBRA_T_S`, `ALGEBRA_T_S_INVERSE`) and
-    of the module (`twisted.MODULE_T_S`, `twisted.MODULE_T_S_INVERSE`).
-    ``a`` is never zero; an ``a`` spelled `ONE` costs no multiply, and a
-    ``b`` spelled `ZERO` adds no term.  An entry that cancels is dropped.
+    The one kernel of the algebra and of the module, on `LaurentPoly`
+    values (the bar images, by `ALGEBRA_T_S_INVERSE` and
+    `twisted.MODULE_T_S_INVERSE`) and on packed integers (the tables'
+    products, by the `packed` forms of `ALGEBRA_T_S` and
+    `twisted.MODULE_T_S`) alike.  ``a`` is never zero; an ``a`` spelled
+    `ONE` costs no multiply, and a zero ``b`` adds no term.  An entry that
+    cancels is dropped.
     """
     out: Elt = {}
     get = out.get
@@ -102,14 +129,14 @@ def gen_step(rules: dict, move, s: int, m: Elt) -> Elt:
         a, b = rules[len(u) - len(w)]
         g = f if a is ONE else a * f
         h = get(u)
-        if h is not None and not (g := h + g).n:
+        if h is not None and not (g := h + g):
             del out[u]
         else:
             out[u] = g
-        if b is not ZERO:
+        if b:
             g = b * f
             h = get(w)
-            if h is not None and not (g := h + g).n:
+            if h is not None and not (g := h + g):
                 del out[w]
             else:
                 out[w] = g
@@ -119,11 +146,6 @@ def gen_step(rules: dict, move, s: int, m: Elt) -> Elt:
 def _left(s: int, w: Word) -> Word:
     """``s w`` as a reduced word: `multiply` for one letter, without its loop."""
     return w[1:] if w and w[0] == s else ONE_LETTER[s] + w
-
-
-def gen_mul_left(s: int, h: Elt) -> Elt:
-    """Left multiplication by the standard basis element ``t_s``."""
-    return gen_step(ALGEBRA_T_S, _left, s, h)
 
 
 @lru_cache(maxsize=None)
@@ -234,18 +256,34 @@ def row_fault(x: Word, w: Word, p: LaurentPoly) -> str:
     return ""
 
 
-def expand_triangular(terms: dict, basis_of) -> dict[Word, LaurentPoly]:
-    """Expand a sparse word -> polynomial map over a unitriangular basis whose
-    element ``basis_of(w)`` has top term ``v**-len(w)`` at ``w``, visiting
-    words by (length descending, lex).  The other terms of ``basis_of(w)``
-    are shorter than ``w``, so one length level is fixed before it is visited."""
-    rem = dict(terms)
+def expand_triangular(terms: Packed, low: int, basis_of) -> dict[Word, LaurentPoly]:
+    """Expand a packed element ``(slots, bound)`` in the frame ``v**low``
+    over a unitriangular basis whose element ``basis_of(w)``, packed in the
+    frame ``v**-len(w)``, has top term 1 at ``w``, visiting words by (length
+    descending, lex).  The other terms of ``basis_of(w)`` are shorter than
+    ``w``, so one length level is fixed before it is visited.
+
+    The coefficient of ``w`` is ``v**(low + len(w))`` times its slot ``n``,
+    and subtracting it times the basis element is ``-n`` times the packed
+    basis element in the same frame; the top term cancels the slot.  Each
+    extraction adds ``L1(n)`` times the basis element's bound to the
+    element's bound, which must stay below ``2**63``.
+    """
+    rem, bound = dict(terms[0]), terms[1]
     out: dict[Word, LaurentPoly] = {}
     while rem:
         top = max(map(len, rem))
         for w in sorted(u for u in rem if len(u) == top):
-            g = out[w] = rem[w].shift(top)
-            add_scaled(rem, basis_of(w), -g)  # its top term cancels rem[w]
+            n = rem[w]
+            norm = l1_norm(n)
+            elt, size = basis_of(w)
+            bound += norm * size
+            if bound >= _HALF:
+                raise InternalInconsistencyError(
+                    f"change of basis could reach 2^63 at {format_word(w)}"
+                )
+            add_scaled(rem, elt, -n)  # its top term cancels rem[w]
+            out[w] = _strip(low + top, n, norm)
     return out
 
 
@@ -292,8 +330,9 @@ class _Table:
     and the slice ``_strip`` of a descent ``s = w[0]`` (``w[_strip]`` is
     ``_move(s, w)``), the interval rule ``_below(w)`` (in (length, lex)
     order), the bar image ``_bar(x)`` of the standard basis element of
-    ``x``, the generator action ``_gen`` with its ``_move`` and the ``name``
-    of its polynomials in oracle error messages.  The recurrence memo and
+    ``x``, the generator action on packed elements (``_rules, _growth``, by
+    `packed`) with its ``_move`` and the ``name`` of its polynomials in
+    error messages.  The recurrence memo and
     the oracle rows are kept separate so the two routes stay independent.
     Returned rows, basis elements, products and intervals are shared through
     the memos; treat them as immutable.  Every caller reads intervals here,
@@ -362,7 +401,9 @@ class _Table:
 
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         """The polynomial ``[y, w]`` read from `oracle_row`, which is built
-        only for a shorter ``y``: no other lies below ``w``."""
+        only for a shorter ``y``: no other lies below ``w``.  Words are made
+        `bytes` first, as in `p`."""
+        y, w = bytes(y), bytes(w)
         if y == w:
             return ONE
         if len(y) < len(w) and (got := self.oracle_row(w).get(y)) is not None:
@@ -371,6 +412,7 @@ class _Table:
 
     def interval(self, w: Word) -> tuple[Word, ...]:
         """The indices below ``w``, in (length, lex) order."""
+        w = bytes(w)
         got = self._intervals.get(w)
         if got is None:
             intern = self._words.setdefault
@@ -381,6 +423,7 @@ class _Table:
         """All polynomials ``[y, w]`` by `solve_bar_triangular` with the
         table's bar image, independent of the recurrence; verified before
         return."""
+        w = bytes(w)
         row = self._rows.get(w)
         if row is None:
             row = self._rows[w] = solve_bar_triangular(w, self.interval(w), self._bar, self.name)
@@ -389,27 +432,41 @@ class _Table:
                 row[y] = pool((f.low, f.n), f)
         return row
 
-    def basis_element(self, w: Word) -> Elt:
-        """The canonical basis element ``v**-len(w) sum_y [y, w] e_y`` of ``w``."""
+    def basis_element(self, w: Word) -> Packed:
+        """The canonical basis element ``v**-len(w) sum_y [y, w] e_y`` of
+        ``w``, packed in the frame ``v**-len(w)`` (each slot is the digit
+        string of ``[y, w]``), and a bound on its L1 norm."""
+        w = bytes(w)
         got = self._basis.get(w)
         if got is None:
             got = self._basis[w] = self._build(w)
         return got
 
-    def _build(self, w: Word) -> Elt:
+    def _build(self, w: Word) -> Packed:
         """`_step`'s recurrence on a whole element: ``v**(len(u) - len(w))
         (e_s + 1) b_u`` less `_minus`, where ``s = w[0]``, ``u = w[_strip]``
-        and ``e_s = _gen(s, .)``; ``v**-len(w)`` on the interval if ``len(w) <= 2``."""
+        and ``e_s`` is one generator step; ``v**-len(w)`` on the interval if
+        ``len(w) <= 2``.  ``b_u`` in its frame is ``v**(len(u) - len(w)) b_u``
+        in that of ``w``, and each ``b_z`` it subtracts shifts up by
+        ``len(w) - len(z)`` digits."""
         if len(w) <= 2:
-            return dict.fromkeys(self.interval(w), v_power(-len(w)))
+            below = self.interval(w)
+            return dict.fromkeys(below, 1), len(below)
         s = w[0]
         u = w[self._strip]
-        below, lead, out = self.basis_element(u), v_power(len(u) - len(w)), {}
-        add_scaled(out, self._gen(s, below), lead)
-        add_scaled(out, below, lead)
+        below, bound = self.basis_element(u)
+        out = gen_step(self._rules, self._move, s, below)
+        add_scaled(out, below, 1)
+        bound *= self._growth + 1
         for z in self._minus(s, u):
-            add_scaled(out, self.basis_element(z), -ONE)
-        return out
+            elt, size = self.basis_element(z)
+            add_scaled(out, elt, -1 << (_DIGIT * (len(w) - len(z))))
+            bound += size
+        if bound >= _HALF:
+            raise InternalInconsistencyError(
+                f"{self.name} basis element of {format_word(w)} could reach 2^63"
+            )
+        return out, bound
 
     def _minus(self, s: int, w1: Word) -> tuple[Word, ...]:
         """For `_build`: ``w2 = w1[_strip]`` when ``s`` is again its descent."""
@@ -439,21 +496,40 @@ class _Table:
             res = res - lead * p(y, w2, depth)
         return res
 
-    def t_times(self, u: Word, y: Word) -> Elt:
+    def t_times(self, u: Word, y: Word) -> Packed:
         """``t_u`` (``T_u`` on the module) times the basis element of ``y``,
-        memoized: one generator step on ``t_times(u[1:], y)``."""
+        packed in the frame ``v**-len(y)`` with a bound, memoized: one
+        generator step on ``t_times(u[1:], y)``."""
+        if not u:
+            return self.basis_element(y)
         got = self._products.get((u, y))
         if got is None:
-            got = self._gen(u[0], self.t_times(u[1:], y)) if u else self.basis_element(y)
-            self._products[u, y] = got
+            below, bound = self.t_times(u[1:], y)
+            bound *= self._growth
+            if bound >= _HALF:
+                raise InternalInconsistencyError(
+                    f"{self.name} product t_{format_word(u)} b_{format_word(y)} could reach 2^63"
+                )
+            got = self._products[u, y] = gen_step(self._rules, self._move, u[0], below), bound
         return got
 
-    def times(self, h: Elt, y: Word) -> Elt:
-        """``sum_u f_u t_times(u, y)`` over the entries ``(u, f_u)`` of ``h``."""
-        out: Elt = {}
-        for u, f in h.items():
-            add_scaled(out, self.t_times(u, y), f)
-        return out
+    def times(self, h: Packed, y: Word) -> Packed:
+        """``sum_u f_u t_times(u, y)`` over the slots ``(u, f_u)`` of the packed
+        element ``h = (slots, bound)``, in the sum of the two frames, with
+        the bound ``bound * max_u bound(t_times(u, y))``."""
+        slots, bound = h
+        out: dict[Word, int] = {}
+        most = 0
+        for u, f in slots.items():
+            prod, size = self.t_times(u, y)
+            add_scaled(out, prod, f)
+            most = max(most, size)
+        bound *= most
+        if bound >= _HALF:
+            raise InternalInconsistencyError(
+                f"{self.name} product with b_{format_word(y)} could reach 2^63"
+            )
+        return out, bound
 
     # -- cache support ------------------------------------------------------
 
@@ -479,14 +555,28 @@ class KLTable(_Table):
     name = "P"
     _lead = Q
     _strip = slice(1, None)  # s w = w[1:] on a left descent s = w[0]
-    _gen = staticmethod(gen_mul_left)
+    _rules, _growth = packed(ALGEBRA_T_S)
     _move = staticmethod(_left)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._doubled: dict[Word, Packed] = {}
 
     def _below(self, w: Word) -> tuple[Word, ...]:
         return lower_words(w)
 
     def _bar(self, x: Word) -> Elt:
         return bar_t(x)
+
+    def doubled_basis_element(self, x: Word) -> Packed:
+        """`basis_element` under ``v -> v**2``, the image of ``c_x`` in the
+        parameter-``q**2`` algebra that acts on the module: packed in the
+        frame ``v**-2len(x)``, memoized."""
+        got = self._doubled.get(x)
+        if got is None:
+            slots, bound = self.basis_element(x)
+            got = self._doubled[x] = {u: spread(n) for u, n in slots.items()}, bound
+        return got
 
 
 def kl_correction(w: Word, j: int) -> dict[Word, LaurentPoly]:
@@ -541,5 +631,7 @@ def triple_product(spec: CoxeterSpec, x: Word, y: Word) -> dict[Word, LaurentPol
 
 
 def kl_product_direct(table: KLTable, x: Word, y: Word) -> dict[Word, LaurentPoly]:
-    """``c_x c_y`` via standard-basis multiplication and change of basis."""
-    return expand_triangular(table.times(table.basis_element(x), y), table.basis_element)
+    """``c_x c_y`` via standard-basis multiplication and change of basis,
+    in the frame ``v**-(len(x) + len(y))``."""
+    h = table.times(table.basis_element(x), y)
+    return expand_triangular(h, -len(x) - len(y), table.basis_element)

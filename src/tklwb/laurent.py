@@ -8,9 +8,9 @@ add, subtract adds the negation, multiply is one integer product, and
 digit is never zero (zero is ``(0, 0)``) and a digit string with every
 digit in ``(-2**63, 2**63)`` is the only one for its integer.  Only the
 leaves (``str``, `LaurentPoly.coefficient`, the sign and support tests,
-and `mirror`, which reverses a digit string for the bar solve of `hecke`)
-decode digits; `low_digits` cuts a value to its lowest digits without
-decoding them.
+`mirror`, which reverses a digit string for the bar solve of `hecke`, and
+`l1_norm` and `spread`, which its packed products read) decode digits;
+`low_digits` cuts a value to its lowest digits without decoding them.
 
 Coefficients must have magnitude below ``2**63``.  The constructor and
 `parse_poly` reject a larger one with ``ValueError``; arithmetic carries an
@@ -77,6 +77,17 @@ def low_digits(n: int, t: int) -> int:
     return ((n + half) & ((half << 1) - 1)) - half
 
 
+def l1_norm(n: int) -> int:
+    """The L1 norm of the signed digits of ``n``."""
+    return sum(map(abs, _digits(n)))
+
+
+def spread(n: int) -> int:
+    """The integer whose signed digits are those of ``n`` with a zero digit
+    after each: ``p(v) -> p(v**2)`` on a digit string at low 0."""
+    return _pack(_digits(n), 2 * _DIGIT)
+
+
 def mirror(n: int, t: int) -> tuple[int, int]:
     """The integer whose signed digits are the lowest ``t`` of ``n`` in
     reverse order, and the L1 norm of those digits."""
@@ -126,8 +137,8 @@ def _refit(p: "LaurentPoly", r: "LaurentPoly", op: str) -> int:
     replace their stale bounds.  If even that reaches ``2**63``, the result's
     own coefficients decide: only one of magnitude ``2**63`` or more raises,
     and the result's exact L1 norm is its bound."""
-    p.bound = sum(map(abs, _digits(p.n)))
-    r.bound = sum(map(abs, _digits(r.n)))
+    p.bound = l1_norm(p.n)
+    r.bound = l1_norm(r.n)
     bound = p.bound * r.bound if op == "*" else p.bound + r.bound
     if bound >= _HALF:
         if op == "*":
@@ -333,7 +344,7 @@ def as_q_poly(p: LaurentPoly) -> LaurentPoly:
 
 def substitute_v_squared(p: LaurentPoly) -> LaurentPoly:
     """Map ``p(v)`` to ``p(v**2)`` by doubling every exponent."""
-    return _make(2 * p.low, _pack(_digits(p.n), 2 * _DIGIT), p.bound)
+    return _make(2 * p.low, spread(p.n), p.bound)
 
 
 def substitute_q_squared(p: LaurentPoly) -> LaurentPoly:

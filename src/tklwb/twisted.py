@@ -3,9 +3,10 @@
 The free module on the twisted involutions carries an action of the
 parameter-``q**2`` Hecke algebra in which a generator sends a basis element
 ``a_w`` into a two-term combination keyed on how the twist moves ``w``:
-`gen_action` is the generator kernel `hecke.gen_step` with the rule table
-`MODULE_T_S`.  A bar operator compatible with the algebra's bar involution
-acts by ``a_w -> (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}``, and the transition
+the generator kernel `hecke.gen_step` with the rule table `MODULE_T_S`
+(packed, by `hecke.packed`, for the table's products).  A bar operator
+compatible with the algebra's bar involution acts by
+``a_w -> (-1)**len(w) (T_{w^-1})^-1 a_{w^-1}``, and the transition
 matrix from the standard basis to the bar-invariant one defines the twisted
 Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
 
@@ -15,7 +16,7 @@ the rules `MODULE_T_S_INVERSE` per letter pair.
 
 `TwistedKLTable` is the table of `hecke.KLTable` on the module, with
 `lower_twisted` as its interval rule, `bar_basis` as its bar image and
-`gen_action` building its basis elements (``A_w``, the distinguished basis)
+`MODULE_T_S` building its basis elements (``A_w``, the distinguished basis)
 and products ``T_u A_y``.  As on the algebra side there are two independent
 routes to ``Psigma``: the oracle row and ``p`` (the recurrence of
 `hecke._Table` with ``q**2`` and ``w[1:-1]``, plus two star-fixed boundary
@@ -26,7 +27,8 @@ checked identity (see `positivity`).
 ``C_x A_y`` in the distinguished basis has a closed combinatorial expansion
 (`twisted_product`, with the correction terms of `twisted_correction`),
 cross-checkable against the standard-basis action route
-(`twisted_product_direct`, through `_Table.times`).  It checks once that
+(`twisted_product_direct`, through `_Table.times` on the doubled KL basis
+element, in the frame ``v**-(2 len(x) + len(y))``).  It checks once that
 ``y`` is a twisted involution; every word it reaches from ``y`` by `twist`
 is one too, so neither the twists nor the corrections check again.  At
 ``x = s`` it is the closed form of ``C_s A_w``, which the top-coefficient
@@ -46,8 +48,9 @@ from .hecke import (
     corrected,
     expand_triangular,
     gen_step,
+    packed,
 )
-from .laurent import LaurentPoly, ONE, Q, ZERO, const, substitute_v_squared, v_power
+from .laurent import LaurentPoly, ONE, Q, ZERO, const, v_power
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -85,12 +88,6 @@ MODULE_T_S_INVERSE = {
 }
 
 
-def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
-    """Action of the standard generator ``T_s`` on a module element: the
-    kernel `hecke.gen_step` with the rules `MODULE_T_S`."""
-    return gen_step(MODULE_T_S, partial(twist, spec), s, m)
-
-
 @lru_cache(maxsize=None)
 def bar_basis(spec: CoxeterSpec, w: Word) -> Elt:
     """``bar(a_w) = T_s**-1 bar(a_{w[1:-1]})`` for ``s = w[0]``, and ``-T_s**-1 a_s``
@@ -111,11 +108,11 @@ class TwistedKLTable(_Table):
     name = "Psigma"
     _lead = _Q2
     _strip = slice(1, -1)  # s # w = w[1:-1] on a descent s = w[0]
+    _rules, _growth = packed(MODULE_T_S)
 
     def __init__(self, spec: CoxeterSpec) -> None:
         super().__init__()
         self.spec = spec
-        self._gen = partial(gen_action, spec)
         self._move = partial(twist, spec)
 
     def _below(self, w: Word) -> tuple[Word, ...]:
@@ -137,7 +134,8 @@ class TwistedKLTable(_Table):
 
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         """`_Table.p_oracle`; the row of ``w`` holds only twisted involutions,
-        so only a read off the row checks the words."""
+        so only a read off the row checks the words, made `bytes` first."""
+        y, w = bytes(y), bytes(w)
         got = super().p_oracle(y, w)
         if not got:
             check_twisted_involution(self.spec, y)
@@ -272,6 +270,7 @@ def twisted_product(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
 def twisted_product_direct(
     spec: CoxeterSpec, table: KLTable, ttable: TwistedKLTable, x: Word, y: Word
 ) -> Elt:
-    """``C_x A_y`` through the standard-basis action, for cross-checks."""
-    doubled = {u: substitute_v_squared(f) for u, f in table.basis_element(x).items()}
-    return expand_triangular(ttable.times(doubled, y), ttable.basis_element)
+    """``C_x A_y`` through the standard-basis action, for cross-checks: the
+    doubled ``c_x`` at ``v**-2len(x)`` on ``A_y`` at ``v**-len(y)``."""
+    h = ttable.times(table.doubled_basis_element(x), y)
+    return expand_triangular(h, -2 * len(x) - len(y), ttable.basis_element)

@@ -1,24 +1,42 @@
-"""Operations only the test suite uses: the product of two algebra
-elements, the parameter-``q**2`` action on the module, the bar involutions
-on polynomials and on whole elements, the dagger anti-automorphism, the direct triple product,
-the difference recurrences of the twisted polynomials, and step-by-step
-references for the closed-form products and for the packed bar solve."""
+"""Operations only the test suite uses: the generator actions and the
+product of two algebra elements on `LaurentPoly` values, the
+parameter-``q**2`` action on the module, the bar involutions on
+polynomials and on whole elements, the dagger anti-automorphism, the direct
+triple product, the difference recurrences of the twisted polynomials, the
+packed elements of the tables read as `LaurentPoly` values and back, and
+step-by-step references for the closed-form products, for the packed bar
+solve and for the packed change of basis."""
+
+from functools import partial
 
 from tklwb.hecke import (
+    ALGEBRA_T_S,
     Elt,
     InternalInconsistencyError,
     KLTable,
+    Packed,
     Q_PLUS_QINV,
     V_PLUS_VINV,
+    _left,
     add_scaled,
     bar_t,
     expand_triangular,
-    gen_mul_left,
+    gen_step,
     kl_correction,
     row_fault,
 )
-from tklwb.laurent import LaurentPoly, ONE, ZERO, _strip, mirror, substitute_v_squared, v_power
-from tklwb.twisted import TwistedKLTable, bar_basis, gen_action
+from tklwb.laurent import (
+    LaurentPoly,
+    ONE,
+    ZERO,
+    _DIGIT,
+    _strip,
+    l1_norm,
+    mirror,
+    substitute_v_squared,
+    v_power,
+)
+from tklwb.twisted import MODULE_T_S, TwistedKLTable, bar_basis
 from tklwb.words import (
     CoxeterSpec,
     IDENTITY,
@@ -31,6 +49,65 @@ from tklwb.words import (
     twist_expression,
     twist_word,
 )
+
+
+def gen_mul_left(s: int, h: Elt) -> Elt:
+    """Left multiplication by the standard basis element ``t_s``."""
+    return gen_step(ALGEBRA_T_S, _left, s, h)
+
+
+def gen_action(spec: CoxeterSpec, s: int, m: Elt) -> Elt:
+    """Action of the standard generator ``T_s`` on a module element: the
+    kernel `hecke.gen_step` with the rules `MODULE_T_S`."""
+    return gen_step(MODULE_T_S, partial(twist, spec), s, m)
+
+
+# -- packed elements: ``(slots, bound)``, each slot a `laurent` digit string
+# at the element's frame ``v**low``
+
+
+def decode(packed: Packed, low: int) -> Elt:
+    """The packed element in the frame ``v**low`` as `LaurentPoly` values,
+    each with the element's bound, and each checked to lie within it."""
+    slots, bound = packed
+    out = {}
+    for u, n in slots.items():
+        assert n and l1_norm(n) <= bound, (u, n, bound)
+        out[u] = _strip(low, n, bound)
+    return out
+
+
+def encode(h: Elt, low: int) -> Packed:
+    """``h`` packed in the frame ``v**low``, at or below every value's low,
+    with its exact L1 norm as the bound."""
+    slots = {u: f.n << (_DIGIT * (f.low - low)) for u, f in h.items()}
+    return slots, sum(l1_norm(n) for n in slots.values())
+
+
+def basis(table, w: Word) -> Elt:
+    """The table's basis element of ``w`` as `LaurentPoly` values."""
+    return decode(table.basis_element(w), -len(w))
+
+
+def expand(h: Elt, basis_of) -> dict[Word, LaurentPoly]:
+    """`hecke.expand_triangular` on `LaurentPoly` values, packed in the
+    frame of their lowest term."""
+    low = min((f.low for f in h.values()), default=0)
+    return expand_triangular(encode(h, low), low, basis_of)
+
+
+def expand_triangular_reference(terms: Elt, basis_of) -> dict[Word, LaurentPoly]:
+    """`hecke.expand_triangular` on `LaurentPoly` values: ``basis_of(w)``
+    maps words to `LaurentPoly` values, with top term ``v**-len(w)`` at
+    ``w``."""
+    rem = dict(terms)
+    out: dict[Word, LaurentPoly] = {}
+    while rem:
+        top = max(map(len, rem))
+        for w in sorted(u for u in rem if len(u) == top):
+            g = out[w] = rem[w].shift(top)
+            add_scaled(rem, basis_of(w), -g)  # its top term cancels rem[w]
+    return out
 
 
 def mul(a: Elt, b: Elt) -> Elt:
@@ -83,11 +160,8 @@ def triple_product_direct(
     table: KLTable, spec: CoxeterSpec, x: Word, y: Word
 ) -> dict[Word, LaurentPoly]:
     """``c_x c_y c_dagger(x)`` through the standard basis, for cross-checks."""
-    prod = mul(
-        mul(table.basis_element(x), table.basis_element(y)),
-        table.basis_element(dagger(spec, x)),
-    )
-    return expand_triangular(prod, table.basis_element)
+    prod = mul(mul(basis(table, x), basis(table, y)), basis(table, dagger(spec, x)))
+    return expand(prod, table.basis_element)
 
 
 def bar_module(spec: CoxeterSpec, m: Elt) -> Elt:

@@ -18,9 +18,16 @@ formula on random systems (rank 0-6)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import hecke_action, kl_product_reference, mul, twisted_product_reference
-from tklwb.hecke import KLTable, bar_t, expand_triangular, kl_product, kl_product_direct
-from tklwb.laurent import ONE
+from helpers import (
+    basis,
+    expand,
+    hecke_action,
+    kl_product_reference,
+    mul,
+    twisted_product_reference,
+)
+from tklwb.hecke import KLTable, bar_t, kl_product, kl_product_direct
+from tklwb.laurent import ONE, l1_norm
 from tklwb.twisted import TwistedKLTable, bar_basis, twisted_product, twisted_product_direct
 from tklwb.words import (
     IDENTITY,
@@ -80,7 +87,9 @@ def test_kl_product_matches_direct_route(data):
     gens = data.draw(st.integers(2, 5))
     x = data.draw(reduced_words(gens))
     y = data.draw(reduced_words(gens))
-    assert kl_product(x, y) == kl_product_direct(KLTable(), x, y)
+    got = kl_product_direct(KLTable(), x, y)
+    assert kl_product(x, y) == got
+    assert all(f.bound >= l1_norm(f.n) for f in got.values())
 
 
 @_SETTINGS
@@ -90,8 +99,9 @@ def test_twisted_product_matches_direct_route(data):
     x = data.draw(reduced_words(spec.gen_count))
     # the fold of a reduced word of length 3-5 is a twisted involution of rank 3-5
     y = twist_word(spec, data.draw(reduced_words(spec.gen_count)), IDENTITY)
-    got = twisted_product(spec, x, y)
-    assert got == twisted_product_direct(spec, KLTable(), TwistedKLTable(spec), x, y)
+    direct = twisted_product_direct(spec, KLTable(), TwistedKLTable(spec), x, y)
+    assert twisted_product(spec, x, y) == direct
+    assert all(f.bound >= l1_norm(f.n) for f in direct.values())
 
 
 @_SETTINGS
@@ -106,11 +116,11 @@ def test_direct_routes_match_letter_by_letter_products(data):
         x = data.draw(reduced_words(spec.gen_count, 0))
         y = data.draw(reduced_words(spec.gen_count, 0))
         z = twist_word(spec, data.draw(reduced_words(spec.gen_count, 0)), IDENTITY)
-        cx = table.basis_element(x)
-        prod = mul(cx, table.basis_element(y))
-        assert kl_product_direct(table, x, y) == expand_triangular(prod, table.basis_element)
-        acted = hecke_action(spec, cx, ttable.basis_element(z))
-        expect = expand_triangular(acted, ttable.basis_element)
+        cx = basis(table, x)
+        prod = mul(cx, basis(table, y))
+        assert kl_product_direct(table, x, y) == expand(prod, table.basis_element)
+        acted = hecke_action(spec, cx, basis(ttable, z))
+        expect = expand(acted, ttable.basis_element)
         assert twisted_product_direct(spec, table, ttable, x, z) == expect
 
 

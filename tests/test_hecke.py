@@ -1,22 +1,30 @@
 """Hecke algebra arithmetic, the KL oracle, and the universal recurrences."""
 
+from functools import partial
+
 import pytest
 
 from helpers import (
     bar,
     bar_hecke,
+    basis,
     dagger_hecke,
+    decode,
+    encode,
+    expand,
+    expand_triangular_reference,
+    gen_mul_left,
     mul,
     solve_bar_triangular_reference,
     triple_product_direct,
 )
 from tklwb.hecke import (
     ALGEBRA_T_S_INVERSE,
+    InternalInconsistencyError,
     KLTable,
     add_scaled,
     bar_t,
     expand_triangular,
-    gen_mul_left,
     gen_step,
     kl_correction,
     kl_product,
@@ -206,7 +214,8 @@ def test_q_squared_algebra_is_the_doubled_q_algebra():
         assert doubled(t_inverse(word)) == inv
         lead = v_power(-2 * len(word))
         cw = {y: lead * substitute_q_squared(table.p(y, word)) for y in lower_words(word)}
-        assert doubled(table.basis_element(word)) == cw
+        assert doubled(basis(table, word)) == cw
+        assert decode(table.doubled_basis_element(word), -2 * len(word)) == cw
         assert ref_bar_q2(cw) == cw
 
 
@@ -242,9 +251,7 @@ def test_dagger_fixes_kl_basis():
     table = KLTable()
     for spec in (ID3, SWAP3):
         for word in enumerate_words(3, 4):
-            assert dagger_hecke(spec, table.basis_element(word)) == table.basis_element(
-                dagger(spec, word)
-            )
+            assert dagger_hecke(spec, basis(table, word)) == basis(table, dagger(spec, word))
 
 
 # -- oracle -------------------------------------------------------------------
@@ -534,9 +541,9 @@ def test_mu_examples():
 
 def test_basis_element_examples():
     table = KLTable()
-    assert table.basis_element(b"") == elt(e="1")
-    assert table.basis_element(w("a")) == {w("a"): v_power(-1), b"": v_power(-1)}
-    assert doubled(table.basis_element(w("a"))) == {w("a"): v_power(-2), b"": v_power(-2)}
+    assert basis(table, b"") == elt(e="1")
+    assert basis(table, w("a")) == {w("a"): v_power(-1), b"": v_power(-1)}
+    assert doubled(basis(table, w("a"))) == {w("a"): v_power(-2), b"": v_power(-2)}
 
 
 def test_basis_elements_match_the_recurrence():
@@ -548,13 +555,13 @@ def test_basis_elements_match_the_recurrence():
         for word in enumerate_words(gens, 7):
             lead = v_power(-len(word))
             expect = {y: lead * values.p(y, word) for y in values.interval(word)}
-            assert table.basis_element(word) == expect, format_word(word)
+            assert basis(table, word) == expect, format_word(word)
 
 
 def test_basis_elements_are_bar_invariant():
     table = KLTable()
     for word in enumerate_words(3, 4):
-        cw = table.basis_element(word)
+        cw = basis(table, word)
         assert bar_hecke(cw) == cw
         assert ref_bar_q2(doubled(cw)) == doubled(cw)
 
@@ -562,10 +569,11 @@ def test_basis_elements_are_bar_invariant():
 def test_to_kl_basis_round_trip():
     table = KLTable()
     h = elt(aba="1+q", ab="v", e="v^-1+v")
-    coeffs = expand_triangular(h, table.basis_element)
+    coeffs = expand(h, table.basis_element)
+    assert coeffs == expand_triangular_reference(h, partial(basis, table))
     total = {}
     for z, f in coeffs.items():
-        add_scaled(total, table.basis_element(z), f)
+        add_scaled(total, basis(table, z), f)
     assert total == h
 
 
@@ -579,9 +587,12 @@ def test_expand_triangular_on_a_hand_built_basis():
         w("a"): elt(a="v^-1"),
         w("e"): elt(e="1"),
     }
-    got = expand_triangular(elt(ba="2v^-2", ab="v^-2"), basis.__getitem__)
+    packed = {u: encode(b, -len(u)) for u, b in basis.items()}
+    got = expand_triangular(encode(elt(ba="2v^-2", ab="v^-2"), -2), -2, packed.__getitem__)
     assert got == elt(ab="1", ba="2", a="-2q", b="-v", e="v")
     assert list(got) == [w("ab"), w("ba"), w("a"), w("b"), w("e")]
+    reference = expand_triangular_reference(elt(ba="2v^-2", ab="v^-2"), basis.__getitem__)
+    assert got == reference and list(reference) == list(got)
 
 
 # -- correction terms and products ----------------------------------------------
@@ -616,6 +627,18 @@ def test_kl_product_matches_direct_route_sum_bound():
         for y in words:
             if len(x) + len(y) <= 8:
                 assert kl_product(x, y) == kl_product_direct(table, x, y)
+
+
+def test_a_huge_basis_entry_stops_the_direct_route():
+    """A basis element whose bound is past ``2**62`` makes the direct route
+    raise before a digit could reach ``2**63``, rather than return a value."""
+    table = KLTable()
+    x, y = w("ab"), w("ba")
+    slots, bound = table.basis_element(x)
+    big = 1 << 62
+    table._basis[x] = {**slots, b"": slots[b""] + big}, bound + big
+    with pytest.raises(InternalInconsistencyError, match=r"could reach 2\^63"):
+        kl_product_direct(table, x, y)
 
 
 def test_kl_product_coefficients_are_nonnegative():

@@ -10,16 +10,19 @@ from helpers import (
     alternating_twist,
     bar_hecke,
     bar_module,
+    basis,
+    expand,
+    expand_triangular_reference,
+    gen_action,
     hecke_action,
 )
-from tklwb.hecke import KLTable, bar_t, expand_triangular, gen_step, t_inverse
+from tklwb.hecke import InternalInconsistencyError, KLTable, bar_t, gen_step, t_inverse
 from tklwb.laurent import ONE, Q, V, ZERO, parse_poly, substitute_q_squared, v_power
 from tklwb.twisted import (
     MODULE_T_S,
     MODULE_T_S_INVERSE,
     TwistedKLTable,
     bar_basis,
-    gen_action,
     twisted_correction,
     twisted_product,
     twisted_product_direct,
@@ -257,14 +260,14 @@ def test_distinguished_basis_matches_the_recurrence():
         for word in words:
             lead = v_power(-len(word))
             expect = {y: lead * values.p(y, word) for y in values.interval(word)}
-            assert tt.basis_element(word) == expect, (spec, format_word(word))
+            assert basis(tt, word) == expect, (spec, format_word(word))
 
 
 def test_distinguished_basis_is_bar_invariant():
     for spec in SPECS:
         tt = TwistedKLTable(spec)
         for word in enumerate_twisted_involutions(spec, 3):
-            aw = tt.basis_element(word)
+            aw = basis(tt, word)
             assert bar_module(spec, aw) == aw
 
 
@@ -306,6 +309,27 @@ def test_p_reads_tuple_words_as_bytes():
     for y, x in [((), (0, 1, 2)), ((0, 2), twisted_pairs[0][1])]:  # abc and ac
         with pytest.raises(NotTwistedInvolution):
             TwistedKLTable(MIX4).p(tuple(y), tuple(x))
+
+
+def test_table_methods_read_tuple_words_as_bytes():
+    """`p_oracle`, `oracle_row`, `interval` and `basis_element` make their
+    words `bytes` first, as `p` does: tuples give the results of their
+    bytes on fresh tables, and the memos behind them hold only `bytes`."""
+    kl_words = [w("aba"), w("abcba"), w("acbcab")]
+    twisted_words = [twist_word(SWAP3, w(x), b"") for x in ("ab", "cab", "acab")]
+    for make, words in ((KLTable, kl_words), (partial(TwistedKLTable, SWAP3), twisted_words)):
+        table, as_tuples = make(), make()
+        for x in words:
+            assert as_tuples.interval(tuple(x)) == table.interval(x)
+            assert as_tuples.oracle_row(tuple(x)) == table.oracle_row(x)
+            assert as_tuples.basis_element(tuple(x)) == table.basis_element(x)
+            for y in table.interval(x):
+                assert as_tuples.p_oracle(tuple(y), tuple(x)) == table.p_oracle(y, x)
+        memos = (as_tuples._intervals, as_tuples._rows, as_tuples._basis)
+        assert all(type(x) is bytes for memo in memos for x in memo)
+    assert KLTable().p_oracle((), (0, 1, 0)) == ONE
+    with pytest.raises(NotTwistedInvolution):  # ac, off the row of cababc
+        TwistedKLTable(SWAP3).p_oracle((0, 2), tuple(twisted_words[1]))
 
 
 def test_p_matches_oracle():
@@ -496,13 +520,29 @@ def test_twisted_product_matches_direct_route():
                     assert f.is_nonnegative()
 
 
+def test_a_huge_basis_entry_stops_the_direct_route():
+    """A KL basis element or a distinguished one whose bound is past
+    ``2**62`` makes the direct route raise before a digit could reach
+    ``2**63``, rather than return a value."""
+    x, y = w("ab"), twist_word(SWAP3, w("c"), b"")
+    big = 1 << 62
+    for planted in (0, 1):  # in the KL basis element of x, then in A_y
+        table, tt = KLTable(), TwistedKLTable(SWAP3)
+        owner, z = ((table, x), (tt, y))[planted]
+        slots, bound = owner.basis_element(z)
+        owner._basis[z] = {**slots, b"": slots[b""] + big}, bound + big
+        with pytest.raises(InternalInconsistencyError, match=r"could reach 2\^63"):
+            twisted_product_direct(SWAP3, table, tt, x, y)
+
+
 def test_to_a_basis_round_trip():
     tt = TwistedKLTable(ID3)
     m = melt(aba="1+q", a="v", e="v^-1")
-    coeffs = expand_triangular(m, tt.basis_element)
+    coeffs = expand(m, tt.basis_element)
+    assert coeffs == expand_triangular_reference(m, partial(basis, tt))
     total = {}
     for z, f in coeffs.items():
-        for u, g in tt.basis_element(z).items():
+        for u, g in basis(tt, z).items():
             total[u] = total.get(u, ZERO) + f * g
     assert {u: f for u, f in total.items() if f} == m
 
