@@ -272,17 +272,10 @@ def _emit_terms(args, out: TextIO, basis: str, terms: dict[Word, LaurentPoly]) -
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_kl(args, spec, table, ttable, out) -> int:
+def _cmd_p(args, spec, table, ttable, out) -> int:  # kl and tkl
     y = parse_word(args.y, spec.gen_count)
     w = parse_word(args.w, spec.gen_count)
-    _emit_poly(args, out, y, w, table.p(y, w))
-    return 0
-
-
-def _cmd_tkl(args, spec, table, ttable, out) -> int:
-    y = parse_word(args.y, spec.gen_count)
-    w = parse_word(args.w, spec.gen_count)
-    _emit_poly(args, out, y, w, ttable.p(y, w))
+    _emit_poly(args, out, y, w, (table if args.command == "kl" else ttable).p(y, w))
     return 0
 
 
@@ -370,8 +363,8 @@ def _cmd_dump(args, spec, table, ttable, out) -> int:
 
 
 _COMMANDS = {
-    "kl": _cmd_kl,
-    "tkl": _cmd_tkl,
+    "kl": _cmd_p,
+    "tkl": _cmd_p,
     "pm": _cmd_pm,
     "structure": _cmd_structure,
     "mult": _cmd_mult,
@@ -379,11 +372,13 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "dump": _cmd_dump,
 }
+_parser = None  # `build_parser()`, built once on the first `main` call
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.format == "tsv" and args.command in ("structure", "mult", "enum"):
             raise ValueError(f"--format tsv is read only by kl, tkl and pm, not {args.command}")

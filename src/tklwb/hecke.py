@@ -24,9 +24,10 @@ basis element and products ``t_u b_y``).  There are two independent routes:
   before one could reach ``2**63``; polynomials are made only for the
   finished row.
 * ``p`` evaluates the universal recurrence (`_Table._step`) on single
-  values; `basis_element` applies it to whole elements with `gen_step`.
-  The tests hold the basis elements to ``p``, and ``oracle-equivalence``
-  holds ``p`` to the oracle.
+  values, as `laurent` digit strings at low 0 (the lead is a shift);
+  `basis_element` applies it to whole elements with `gen_step`.  The tests
+  hold the basis elements to ``p``, and ``oracle-equivalence`` holds ``p``
+  to the oracle.
 
 Products in the KL basis have a closed form for universal systems
 (`kl_product`, with the corrections of `kl_correction`), cross-checked
@@ -57,7 +58,7 @@ from types import MappingProxyType
 # InternalInconsistencyError is defined beside the arithmetic, whose overflow
 # guard raises it, and re-exported here for the solve checks' callers.
 from .laurent import InternalInconsistencyError, LaurentPoly, ONE, Q, ZERO, v_power
-from .laurent import _DIGIT, _HALF, _strip, l1_norm, low_digits, mirror, spread  # packed frames
+from .laurent import _DIGIT, _HALF, _digits, _make, _strip, l1_norm, low_digits, mirror, spread
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -242,18 +243,25 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
     return row
 
 
+def _too_big(p: LaurentPoly) -> str:
+    """`row_fault`'s last rule, which every pooled value also meets: no
+    coefficient of magnitude ``_GUARD`` or more."""
+    big = p.bound >= _GUARD and max(map(abs, _digits(p.n))) >= _GUARD
+    return "has a coefficient of magnitude 2^60 or more" if big else ""
+
+
 def row_fault(x: Word, w: Word, p: LaurentPoly) -> str:
     """The first rule that ``p`` breaks as the entry ``[x, w]`` of a solved
     row, or ``""``: it lies in Z[q], its degree is at most
-    ``len(w) - len(x) - 1`` below ``w`` (so only 1 is left at ``w``), and its
-    constant term is 1."""
+    ``len(w) - len(x) - 1`` below ``w`` (so only 1 is left at ``w``), its
+    constant term is 1 and its coefficients are below ``2**60``."""
     if not p.is_q_poly():
         return "is not in Z[q]"
     if p.max_exp() > max(len(w) - len(x) - 1, 0):
         return "breaks the degree bound"
     if p.coefficient(0) != 1:
         return "has constant term != 1"
-    return ""
+    return _too_big(p)
 
 
 def expand_triangular(terms: Packed, low: int, basis_of) -> dict[Word, LaurentPoly]:
@@ -288,6 +296,7 @@ def expand_triangular(terms: Packed, low: int, basis_of) -> dict[Word, LaurentPo
 
 
 _MAX_DEPTH = 200  # recurrence levels per evaluation, two frames each (three twisted)
+_GUARD = 1 << 60  # `_Table._step` sums at most five pooled values: digits stay below 2**63
 
 
 class _TooDeep(Exception):
@@ -327,13 +336,13 @@ class _Table:
     """The memos of a Kazhdan-Lusztig table and what is built from them.
 
     A subclass gives the one recurrence (`_step`, `_build`) its ``_lead``
-    and the slice ``_strip`` of a descent ``s = w[0]`` (``w[_strip]`` is
-    ``_move(s, w)``), the interval rule ``_below(w)`` (in (length, lex)
-    order), the bar image ``_bar(x)`` of the standard basis element of
-    ``x``, the generator action on packed elements (``_rules, _growth``, by
-    `packed`) with its ``_move`` and the ``name`` of its polynomials in
-    error messages.  The recurrence memo and
-    the oracle rows are kept separate so the two routes stay independent.
+    (the shift by ``q`` or ``q**2``) and the slice ``_strip`` of a descent
+    ``s = w[0]`` (``w[_strip]`` is ``_move(s, w)``), the interval rule
+    ``_below(w)`` (in (length, lex) order), the bar image ``_bar(x)`` of the
+    standard basis element of ``x``, the generator action on packed elements
+    (``_rules, _growth``, by `packed`) with its ``_move`` and the ``name`` of
+    its polynomials in error messages.  The recurrence memo and the oracle
+    rows are kept separate so the two routes stay independent.
     Returned rows, basis elements, products and intervals are shared through
     the memos; treat them as immutable.  Every caller reads intervals here,
     so each is built once per table, and its words are the objects of the
@@ -341,10 +350,11 @@ class _Table:
 
     The recurrence memo is kept in rows ``w -> {y -> value}``, keyed by the
     table's one object per word, and holds one object per distinct value: a
-    pool keyed by ``(low, n)`` holds every value `_p` stores, every value
-    `seed` loads and every entry of an oracle row (values compare by
-    ``(low, n)``, so sharing one does not tie the two routes together).
-    `snapshot` reads the rows in place.
+    pool keyed by the digit string ``n`` (each value has low 0) holds every
+    value `_p` stores, every value `seed` loads and every entry of an oracle
+    row, each held to `_too_big` as it enters (values compare by ``(low, n)``,
+    so sharing one does not tie the two routes together).  `_p` reads a memo
+    hit's ``n``; `snapshot` reads the rows in place.
 
     Single-writer: share a table across threads only for reads of entries
     computed before the handoff.
@@ -354,7 +364,7 @@ class _Table:
 
     def __init__(self) -> None:
         self._memo: dict[Word, dict[Word, LaurentPoly]] = {}
-        self._pool: dict[tuple[int, int], LaurentPoly] = {(ONE.low, ONE.n): ONE}
+        self._pool: dict[int, LaurentPoly] = {0: ZERO, 1: ONE}
         self._words: dict[Word, Word] = {}  # one object per word in memo keys and intervals
         self._rows: dict[Word, dict[Word, LaurentPoly]] = {}
         self._basis: dict[Word, Elt] = {}
@@ -372,43 +382,47 @@ class _Table:
                 pending.pop()
             except _TooDeep as exc:
                 pending.append(exc.args)
-        return got
+        return self._pool[got]
 
-    def _p(self, y: Word, w: Word, depth: int) -> LaurentPoly:
+    def _p(self, y: Word, w: Word, depth: int, below: bool = False) -> int:
         if y == w:
-            return ONE
+            return 1
         if len(w) - len(y) <= 2:  # never memoised, so before the memo lookup
             # the degree bound forces a constant, and the constant term is 1
-            return ONE if self.leq(y, w) else ZERO
+            return 1 if below or self.leq(y, w) else 0
         # a memoised pair passed the order test when it was stored
         row = self._memo.get(w)
         if row is not None and (got := row.get(y)) is not None:
-            return got
-        if not self.leq(y, w):
-            return ZERO
+            return got.n
+        if not (below or self.leq(y, w)):
+            return 0
         if depth > _MAX_DEPTH:
             raise _TooDeep(y, w)
         return self._store(y, w, self._step(y, w, depth + 1))
 
-    def _store(self, y: Word, w: Word, value: LaurentPoly) -> LaurentPoly:
-        """Put the pooled ``value`` in the memo row of ``w`` at ``y``; return it."""
-        value = self._pool.setdefault((value.low, value.n), value)
+    def _store(self, y: Word, w: Word, n: int) -> int:
+        """Put the pooled value of ``n`` in the memo row of ``w`` at ``y``; return ``n``."""
+        value = self._pool.get(n)
+        if value is None:
+            value = _make(0, n, l1_norm(n))
+            if fault := _too_big(value):
+                entry = f"{self.name}[{format_word(y)}, {format_word(w)}]"
+                raise InternalInconsistencyError(f"{entry} = {value} {fault}")
+            self._pool[n] = value
         row = self._memo.get(w)
         if row is None:
             row = self._memo[self._words.setdefault(w, w)] = {}
         row[self._words.setdefault(y, y)] = value
-        return value
+        return n
 
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         """The polynomial ``[y, w]`` read from `oracle_row`, which is built
         only for a shorter ``y``: no other lies below ``w``.  Words are made
         `bytes` first, as in `p`."""
         y, w = bytes(y), bytes(w)
-        if y == w:
-            return ONE
-        if len(y) < len(w) and (got := self.oracle_row(w).get(y)) is not None:
-            return got
-        return ZERO  # off the row; the twisted table then checks the words
+        if len(y) >= len(w):
+            return ONE if y == w else ZERO
+        return self.oracle_row(w).get(y, ZERO)  # off the row, the twisted table checks the words
 
     def interval(self, w: Word) -> tuple[Word, ...]:
         """The indices below ``w``, in (length, lex) order."""
@@ -427,9 +441,9 @@ class _Table:
         row = self._rows.get(w)
         if row is None:
             row = self._rows[w] = solve_bar_triangular(w, self.interval(w), self._bar, self.name)
-            pool = self._pool.setdefault
+            pool = self._pool.setdefault  # `row_fault` held every entry to 2**60
             for y, f in row.items():
-                row[y] = pool((f.low, f.n), f)
+                row[y] = pool(f.n, f)
         return row
 
     def basis_element(self, w: Word) -> Packed:
@@ -473,8 +487,8 @@ class _Table:
         w2 = w1[self._strip]
         return (w2,) if w2[:1] == ONE_LETTER[s] else ()
 
-    def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
-        """``[y, w]`` by descent reduction plus the universal recurrence.
+    def _step(self, y: Word, w: Word, depth: int) -> int:
+        """``[y, w]`` for ``y <= w`` by descent reduction plus the universal recurrence.
 
         With ``s = w[0]``, ``w1 = w[_strip]``, ``w2 = w1[_strip]`` and ``s``
         not a descent of ``y`` (else ``[y, w] = [y[_strip], w]``):
@@ -482,18 +496,20 @@ class _Table:
             [y, w] = [y, w1] + _lead [s # y, w1] - d _lead [y, w2]
 
         where ``d`` is 1 exactly if ``s`` is again a descent of ``w2``.
+        ``[y[_strip], w]`` and, if ``s`` is no descent of ``y``, ``[y, w1]`` skip the order
+        test: ``y[_strip] <= y``, and ``y`` embeds in ``w`` off the letters ``_strip`` drops.
         """
         p = self._p
         s = w[0]
         strip = self._strip
         if y and y[0] == s:
-            return p(y[strip], w, depth)
+            return p(y[strip], w, depth, True)
         w1 = w[strip]
         w2 = w1[strip]
         lead = self._lead
-        res = p(y, w1, depth) + lead * p(self._move(s, y), w1, depth)
+        res = p(y, w1, depth, True) + (p(self._move(s, y), w1, depth) << lead)
         if w2 and w2[0] == s:
-            res = res - lead * p(y, w2, depth)
+            res -= p(y, w2, depth) << lead
         return res
 
     def t_times(self, u: Word, y: Word) -> Packed:
@@ -538,9 +554,11 @@ class _Table:
         return MemoView(self._memo)
 
     def seed(self, entries: Mapping[tuple[Word, Word], LaurentPoly]) -> None:
-        """Store the ``(y, w) -> value`` entries in the recurrence memo."""
+        """Store the ``(y, w) -> value`` entries, each of low 0, in the recurrence memo."""
         for (y, w), f in entries.items():
-            self._store(y, w, f)
+            if f.low:
+                raise ValueError(f"seeded value {f} of {self.name} does not have low 0")
+            self._store(y, w, f.n)
 
 
 class KLTable(_Table):
@@ -553,7 +571,7 @@ class KLTable(_Table):
     """
 
     name = "P"
-    _lead = Q
+    _lead = 2 * _DIGIT  # q
     _strip = slice(1, None)  # s w = w[1:] on a left descent s = w[0]
     _rules, _growth = packed(ALGEBRA_T_S)
     _move = staticmethod(_left)

@@ -50,7 +50,7 @@ from .hecke import (
     gen_step,
     packed,
 )
-from .laurent import LaurentPoly, ONE, Q, ZERO, const, v_power
+from .laurent import _DIGIT, LaurentPoly, ONE, Q, ZERO, const, v_power
 from .words import (
     CoxeterSpec,
     IDENTITY,
@@ -106,7 +106,7 @@ class TwistedKLTable(_Table):
     """
 
     name = "Psigma"
-    _lead = _Q2
+    _lead = 4 * _DIGIT  # q**2
     _strip = slice(1, -1)  # s # w = w[1:-1] on a descent s = w[0]
     _rules, _growth = packed(MODULE_T_S)
 
@@ -135,14 +135,13 @@ class TwistedKLTable(_Table):
     def p_oracle(self, y: Word, w: Word) -> LaurentPoly:
         """`_Table.p_oracle`; the row of ``w`` holds only twisted involutions,
         so only a read off the row checks the words, made `bytes` first."""
-        y, w = bytes(y), bytes(w)
         got = super().p_oracle(y, w)
         if not got:
-            check_twisted_involution(self.spec, y)
-            check_twisted_involution(self.spec, w)
+            check_twisted_involution(self.spec, bytes(y))
+            check_twisted_involution(self.spec, bytes(w))
         return got
 
-    def _step(self, y: Word, w: Word, depth: int) -> LaurentPoly:
+    def _step(self, y: Word, w: Word, depth: int) -> int:
         """`_Table._step` plus the boundary term
         ``q (Psigma[e, w1] - Psigma[s, w1])`` with ``s = w[0]`` and
         ``w1 = w[1:-1]``, when ``y`` is the identity, ``s`` is star-fixed and
@@ -151,7 +150,7 @@ class TwistedKLTable(_Table):
         s = w[0]
         if not y and len(w) != 3 and self.spec.star[s] == s:
             w1 = w[1:-1]
-            res = res + Q * (self._p(IDENTITY, w1, depth) - self._p(ONE_LETTER[s], w1, depth))
+            res += (self._p(IDENTITY, w1, depth) - self._p(ONE_LETTER[s], w1, depth)) << 2 * _DIGIT
         return res
 
     # -- top coefficient data -----------------------------------------------
@@ -208,7 +207,7 @@ class TwistedKLTable(_Table):
         twist of ``w``.
         """
         spec = self.spec
-        check_twisted_involution(spec, w)
+        w = check_twisted_involution(spec, bytes(w))
         if w and w[0] == s:
             return {w: Q_PLUS_QINV}
         t = twist(spec, s, w)

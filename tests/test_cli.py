@@ -79,6 +79,18 @@ def test_mult_prints_the_coefficient_expansion(capsys, gens, star, max_rho):
             assert run(capsys, *argv) == (0, expected), argv
 
 
+def test_main_calls_share_the_parser_but_no_option(capsys):
+    # the parser is built once per process; each call parses afresh
+    plain = ["--gens", "3", "structure", "a", "b"]
+    expected = run(capsys, *plain)
+    assert expected == (0, "aba\t1\na\t1\n")
+    json_untwisted = ["--gens", "3", "--format", "json", "structure", "--untwisted", "a", "a"]
+    assert run(capsys, *json_untwisted)[0] == 0
+    assert run(capsys, *plain) == expected
+    assert run(capsys, "--gens", "2", "--star", "(a b)", "kl", "e", "aba") == (0, "1\n")
+    assert run(capsys, "--gens", "3", "--star", "id", *plain[2:]) == expected
+
+
 def test_enum(capsys):
     code, out = run(capsys, "--gens", "2", "--star", "(a b)", "enum", "1")
     assert (code, out) == (0, "e\t0\t0\t0\nab\t1\t2\t0\nba\t1\t2\t0\n")
@@ -501,6 +513,33 @@ def test_cache_coefficient_past_the_range_is_discarded(tmp_path, capsys):
     assert out.err.startswith(f"tklwb: warning: ignoring cache {cache}: bad line")
     assert out.err.count("\n") == 1
     assert "P\te\tabcba\t1+q" in cache.read_text().splitlines()
+
+
+def test_cache_coefficient_past_the_guard_is_discarded(tmp_path, capsys):
+    # 2**60 fits a digit, but the recurrence holds its values below it
+    cache = tmp_path / "cache.tsv"
+    cache.write_text(f"tklwb-cache v1 gens=3 star=id\nP\te\tabcba\t1+{2**60}q\n")
+    code = main(["--gens", "3", "--star", "id", "--cache", str(cache), "kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (0, "1+q\n")
+    assert out.err.startswith(f"tklwb: warning: ignoring cache {cache}: bad line")
+    assert out.err.endswith(": the value has a coefficient of magnitude 2^60 or more\n")
+    assert out.err.count("\n") == 1
+    assert "P\te\tabcba\t1+q" in cache.read_text().splitlines()
+
+
+def test_cached_values_combined_past_the_guard_exit_3(tmp_path, capsys):
+    # each row sits just under 2**60; [e, abcba] = [e, bcba] + q [a, bcba] does not
+    big = 2**60 - 1
+    cache = tmp_path / "cache.tsv"
+    rows = f"P\te\tbcba\t1+{big}q\nP\ta\tbcba\t1+{big}q\n"
+    cache.write_text("tklwb-cache v1 gens=3 star=id\n" + rows)
+    code = main(["--gens", "3", "--star", "id", "--cache", str(cache), "kl", "e", "abcba"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    value = f"1+{2**60}q+{big}q^2"
+    message = f"P[e, abcba] = {value} has a coefficient of magnitude 2^60 or more"
+    assert out.err == f"tklwb: internal inconsistency: {message}\n"
 
 
 def test_cache_rows_must_be_solver_valid(tmp_path, capsys):

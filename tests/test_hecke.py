@@ -426,6 +426,51 @@ def test_memo_holds_one_object_per_value():
         assert len({id(f) for f in values}) == len({(f.low, f.n) for f in values})
 
 
+def test_seed_holds_values_to_the_guard():
+    # a step sums at most five pooled values, so each must stay below 2**60
+    table = KLTable()
+    message = r"^P\[e, abcba\] = 1\+1152921504606846976q has a coefficient of magnitude 2\^60"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        table.seed({(b"", w("abcba")): parse_poly(f"1+{2**60}q")})
+    with pytest.raises(InternalInconsistencyError, match="2\\^60"):
+        table.seed({(b"", w("abcba")): parse_poly(f"1-{2**62}q")})
+    with pytest.raises(ValueError, match="low 0"):
+        table.seed({(b"", w("abcba")): parse_poly("v+q")})
+    assert len(table.snapshot()) == 0
+    table.seed({(b"", w("abcba")): parse_poly(f"1+{2**60 - 1}q")})
+    assert table.p(b"", w("abcba")) == parse_poly(f"1+{2**60 - 1}q")
+
+
+def test_order_tests_skipped_by_lifting_would_pass(monkeypatch):
+    """`_step` tells `_p` that ``y <= w`` on the descent strip
+    ``[y[_strip], w]`` and on ``[y, w1]`` when ``s`` is not a descent of
+    ``y``; `_p` then skips its order test.  Every pair so told is below in
+    `bruhat_leq`, on the words of length <= 8 at 3 generators and on the
+    twisted involutions of rank <= 5 at ``id`` and ``(a b)``."""
+    from tklwb.twisted import TwistedKLTable
+    from tklwb.words import lower_twisted
+
+    cases = [(KLTable(), [(y, x) for x in enumerate_words(3, 8) for y in lower_words(x)])]
+    for spec in (ID3, SWAP3):
+        tops = enumerate_twisted_involutions(spec, 5)
+        pairs = [(y, x) for x in tops for y in lower_twisted(spec, x)]
+        cases.append((TwistedKLTable(spec), pairs))
+    for table, pairs in cases:
+        told = []
+        real = table._p
+
+        def recorded(y, x, depth, below=False, real=real, told=told):
+            if below:
+                told.append((y, x))
+            return real(y, x, depth, below)
+
+        monkeypatch.setattr(table, "_p", recorded)
+        for y, x in pairs:
+            table.p(y, x)
+        assert len(told) > len(pairs) // 2  # 26,514 of 37,831; 888 and 918 of 1,267
+        assert all(bruhat_leq(y, x) for y, x in told)
+
+
 def test_snapshot_is_a_read_only_view_of_the_memo():
     table = KLTable()
     snap = table.snapshot()

@@ -16,7 +16,14 @@ from helpers import (
     gen_action,
     hecke_action,
 )
-from tklwb.hecke import InternalInconsistencyError, KLTable, bar_t, gen_step, t_inverse
+from tklwb.hecke import (
+    Q_PLUS_QINV,
+    InternalInconsistencyError,
+    KLTable,
+    bar_t,
+    gen_step,
+    t_inverse,
+)
 from tklwb.laurent import ONE, Q, V, ZERO, parse_poly, substitute_q_squared, v_power
 from tklwb.twisted import (
     MODULE_T_S,
@@ -312,9 +319,9 @@ def test_p_reads_tuple_words_as_bytes():
 
 
 def test_table_methods_read_tuple_words_as_bytes():
-    """`p_oracle`, `oracle_row`, `interval` and `basis_element` make their
-    words `bytes` first, as `p` does: tuples give the results of their
-    bytes on fresh tables, and the memos behind them hold only `bytes`."""
+    """`p_oracle`, `oracle_row`, `interval`, `basis_element` and `cs_action`
+    make their words `bytes` first, as `p` does: tuples give the results of
+    their bytes on fresh tables, and the memos behind them hold only `bytes`."""
     kl_words = [w("aba"), w("abcba"), w("acbcab")]
     twisted_words = [twist_word(SWAP3, w(x), b"") for x in ("ab", "cab", "acab")]
     for make, words in ((KLTable, kl_words), (partial(TwistedKLTable, SWAP3), twisted_words)):
@@ -327,6 +334,14 @@ def test_table_methods_read_tuple_words_as_bytes():
                 assert as_tuples.p_oracle(tuple(y), tuple(x)) == table.p_oracle(y, x)
         memos = (as_tuples._intervals, as_tuples._rows, as_tuples._basis)
         assert all(type(x) is bytes for memo in memos for x in memo)
+    table, as_tuples = TwistedKLTable(SWAP3), TwistedKLTable(SWAP3)
+    for x in [b"", w("c"), *twisted_words]:
+        for s in range(3):
+            assert as_tuples.cs_action(s, tuple(x)) == table.cs_action(s, x)
+    assert all(type(x) is bytes for x in as_tuples._rows)
+    assert TwistedKLTable(SWAP3).cs_action(2, (2,)) == {w("c"): Q_PLUS_QINV}
+    with pytest.raises(NotTwistedInvolution):
+        TwistedKLTable(SWAP3).cs_action(0, (0, 2))
     assert KLTable().p_oracle((), (0, 1, 0)) == ONE
     with pytest.raises(NotTwistedInvolution):  # ac, off the row of cababc
         TwistedKLTable(SWAP3).p_oracle((0, 2), tuple(twisted_words[1]))
