@@ -17,12 +17,12 @@ basis element and products ``t_u b_y``).  There are two independent routes:
   the unique coefficient with strictly negative v-support, by no recurrence.
   The solve (`solve_bar_triangular`) keeps the whole row in one Kronecker
   frame, ``v**-len(w)``: every coefficient and every slot of the summed bar
-  images is one packed integer, a bar image scatters by one multiply, shift
-  and add per entry, and the leaf at each index is one digit cut
-  (`laurent.low_digits`), one digit reversal (`laurent.mirror`) and one
-  integer comparison.  A running bound on the row's digits stops the solve
-  before one could reach ``2**63``; polynomials are made only for the
-  finished row.
+  images is one packed integer, a bar image (packed in the frame
+  ``v**-2len(x)`` of its word, `image_step`) scatters by one shift, and
+  the leaf at each index is one digit cut (`laurent.low_digits`), one digit
+  reversal (`laurent.mirror`) and one integer comparison.  A running bound
+  on the row's digits stops the solve before one could reach ``2**63``;
+  polynomials are made only for the finished row.
 * ``p`` evaluates the universal recurrence (`_Table._step`) on single
   values, as `laurent` digit strings at low 0 (the lead is a shift);
   `basis_element` applies it to whole elements with `gen_step`.  The tests
@@ -78,19 +78,22 @@ Q_PLUS_QINV = v_power(2) + v_power(-2)
 
 
 Elt = dict  # Word -> nonzero LaurentPoly, or packed int: an algebra or a module element
-Packed = tuple[dict[Word, int], int]  # (the slots of an element in its frame, an L1 bound)
+Packed = tuple[dict[Word, int], int]  # (slots in a frame, an L1 bound; per entry on a bar image)
 
 # `gen_step` rules of ``t_s`` and of ``t_s**-1 = q**-1 t_s + q**-1 - 1``
 ALGEBRA_T_S = {1: (ONE, ZERO), -1: (Q, Q - ONE)}
 ALGEBRA_T_S_INVERSE = {1: (v_power(-2), v_power(-2) - ONE), -1: (ONE, ZERO)}
 
 
-def packed(rules: dict) -> tuple[dict, int]:
-    """A `gen_step` rule table on packed integers, each rule at low 0 (a
-    rule below it is a ``ValueError``), and its growth: the largest
-    ``L1(a) + L1(b)``, by which one step can multiply an element's L1 norm."""
+def packed(rules: dict, scale: LaurentPoly = ONE) -> tuple[dict, int]:
+    """``scale * rules`` as a `gen_step` table on packed integers at low 0
+    (a rule below it is a ``ValueError``), and its growth ``max_k L1(a_k) +
+    max(L1(b_k), L1(b_-k))``: ``move`` is an involution, so one step
+    multiplies by it both an element's L1 norm and its entries' largest."""
+    rules = {k: (scale * a, scale * b) for k, (a, b) in rules.items()}
     table = {k: tuple(f.n << (_DIGIT * f.low) for f in ab) for k, ab in rules.items()}
-    return table, max(l1_norm(a.n) + l1_norm(b.n) for a, b in rules.values())
+    norm = {k: (l1_norm(a.n), l1_norm(b.n)) for k, (a, b) in rules.items()}
+    return table, max(a + max(b, norm[-k][1]) for k, (a, b) in norm.items())
 
 
 def add_scaled(acc: dict, terms: dict, factor) -> None:
@@ -115,12 +118,10 @@ def gen_step(rules: dict, move, s: int, m: Elt) -> Elt:
     """One generator on an element: each ``e_w`` goes to ``a e_u + b e_w``,
     where ``u = move(s, w)`` and ``(a, b) = rules[len(u) - len(w)]``.
 
-    The one kernel of the algebra and of the module, on `LaurentPoly`
-    values (the bar images, by `ALGEBRA_T_S_INVERSE` and
-    `twisted.MODULE_T_S_INVERSE`) and on packed integers (the tables'
-    products, by the `packed` forms of `ALGEBRA_T_S` and
-    `twisted.MODULE_T_S`) alike.  ``a`` is never zero; an ``a`` spelled
-    `ONE` costs no multiply, and a zero ``b`` adds no term.  An entry that
+    The one kernel of the algebra and of the module, on packed integers
+    (by the `packed` rules) and, for the test suite's references only, on
+    `LaurentPoly` values.  ``a`` is never zero; an ``a`` spelled `ONE`
+    costs no multiply, and a zero ``b`` adds no term.  An entry that
     cancels is dropped.
     """
     out: Elt = {}
@@ -149,27 +150,42 @@ def _left(s: int, w: Word) -> Word:
     return w[1:] if w and w[0] == s else ONE_LETTER[s] + w
 
 
+def image_step(rules: tuple[dict, int], move, s: int, image: Packed) -> Packed:
+    """`gen_step` by `packed` ``rules`` on a bar image ``(slots, most)``:
+    ``most`` times the growth, made exact first where that reaches ``2**63``."""
+    table, growth = rules
+    slots, most = image
+    if most < _HALF <= most * growth:
+        most = max(map(l1_norm, slots.values()))
+    return gen_step(table, move, s, slots), most * growth
+
+
+_INVERSE_RULES = packed(ALGEBRA_T_S_INVERSE, Q)  # q t_s**-1, at low >= 0
+
+
 @lru_cache(maxsize=None)
-def t_inverse(w: Word) -> Elt:
-    """The inverse of the standard basis element of ``w``:
-    ``t_w**-1 = t_s**-1 t_{w'}**-1`` for ``w = w' s``.  Returned dicts are
-    shared through the cache; treat them as immutable."""
+def t_inverse(w: Word) -> Packed:
+    """``t_w**-1 = t_s**-1 t_{w'}**-1`` for ``w = w' s``, as an image: by
+    one ``q t_s**-1`` per letter, packed in the frame ``v**-2len(w)``, with
+    a bound on each entry's L1 norm.  Images are shared through the cache;
+    treat them as immutable."""
     if not w:
-        return {IDENTITY: ONE}
-    return gen_step(ALGEBRA_T_S_INVERSE, _left, w[-1], t_inverse(w[:-1]))
+        return {IDENTITY: 1}, 1
+    return image_step(_INVERSE_RULES, _left, w[-1], t_inverse(w[:-1]))
 
 
-def bar_t(w: Word) -> Elt:
-    """``bar(t_w) = (t_{w^-1})^-1``."""
+def bar_t(w: Word) -> Packed:
+    """``bar(t_w) = (t_{w^-1})^-1``, an image in the frame ``v**-2len(w)``."""
     return t_inverse(inverse(w))
 
 
 def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, LaurentPoly]:
     """The row ``x -> P[x, w]`` of the transition matrix to the canonical basis.
 
-    ``bar_of(x)`` is the bar image of the standard basis element of ``x`` (a
-    sparse word -> polynomial map) and ``interval`` the indices below ``w``
-    in (length, lex) order.  The canonical element ``sum_x c_x e_x``, with
+    ``bar_of(x)`` is the bar image of the standard basis element of ``x``,
+    packed in the frame ``v**-2len(x)`` with a bound on the L1 norm of each
+    entry (as `t_inverse`), and ``interval`` the indices below ``w`` in
+    (length, lex) order.  The canonical element ``sum_x c_x e_x``, with
     ``c_x = v**-len(w) P[x, w]``, is the unique bar-invariant one with
     ``c_w = v**-len(w)`` whose other ``c_x`` have strictly negative
     v-support after shifting by ``v**len(x)``: walking the interval backward
@@ -178,18 +194,18 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
 
     The whole row lives in one frame: every ``c_x`` and every slot of the
     accumulated image ``sum_x bar(c_x) bar_of(x)`` is one packed integer
-    (the `laurent` digit layout) at the row low ``-len(w)``.  An image entry
-    ``f`` scatters into its slot as ``(f.n * r) << 64 (f.low + k)``, where
-    ``r`` is the packed ``bar(c_x)`` and ``k`` its low less the row low; an
-    entry below the frame is an error.  The leaf at ``x``, with ``t =
-    len(w) - len(x)``, reads its slot ``n``: ``c_x`` is the residue ``g`` of
-    its lowest ``t`` digits, and ``c_x - bar(c_x)`` must be the whole slot,
-    ``n == g - (mirror(g) << 64 (t + 1))``; the mirror is also the ``r``
-    that ``x`` scatters.  A running bound ``sum_x L1(c_x) max_y
-    L1(bar_of(x)[y])`` bounds every digit of every slot, and the solve stops
-    before it reaches ``2**63``, so no digit overflows unseen.  At the end
-    every nonzero slot must be its coefficient (bar-invariance), and each
-    entry, made a polynomial only then, must pass `row_fault`.
+    (the `laurent` digit layout) at the row low ``-len(w)``.  The leaf at
+    ``x``, with ``t = len(w) - len(x)``, reads its slot ``n``: ``c_x`` is
+    the residue ``g`` of its lowest ``t`` digits, and ``c_x - bar(c_x)``
+    must be the whole slot, ``n == g - (r << 64 (t + 1))`` with ``r =
+    mirror(g)``; each image entry ``m`` then scatters as
+    ``(m * r) << 64 (t + 1)``, one shift for the whole image (none at
+    ``w``).  A running bound ``sum_x L1(c_x) most(x)`` bounds every digit
+    of every slot (where it reaches ``2**63``, it is refit from exact
+    norms), and the solve stops before it reaches ``2**63``, so no digit
+    overflows unseen.  At the end every nonzero slot must be its
+    coefficient (bar-invariance), and each entry, made a polynomial only
+    then, must pass `row_fault`.
     """
     top = len(w)
     acc: dict[Word, int] = {}  # the slots, at the row low
@@ -199,35 +215,32 @@ def solve_bar_triangular(w: Word, interval, bar_of, name: str) -> dict[Word, Lau
     for x in reversed(interval):  # words of one length are incomparable
         if x == w:  # c_w = v**-len(w) is 1 in the frame, bar(c_w) = v**len(w)
             g = r = norm = 1
-            k = 2 * top
+            shift = 0
         else:
             t = top - len(x)
             n = get(x, 0)
             g = low_digits(n, t)
             r, norm = mirror(g, t)
-            if n != g - (r << (_DIGIT * (t + 1))):
+            shift = _DIGIT * (t + 1)  # bar(c_x) = v**(len(x) + 1) r, less the image's frame
+            if n != g - (r << shift):
                 rhs = _strip(-t, n, 0)  # decoded for the message only
                 raise InternalInconsistencyError(
                     f"{name} bar solve stuck at {format_word(x)} below {format_word(w)}: rhs {rhs}"
                 )
             if not g:
                 continue
-            k = top + len(x) + 1  # bar(c_x) = v**(len(x) + 1) r
         coeffs[x] = g, norm
-        image = bar_of(x)
-        bound += norm * max((f.bound for f in image.values()), default=0)
+        slots, most = bar_of(x)
+        bound += norm * most
+        if most < _HALF <= bound:  # refit from the exact norms: every digit so far fits
+            bound = max(map(l1_norm, acc.values()), default=0)
+            bound += norm * max(map(l1_norm, slots.values()))
         if bound >= _HALF:
             raise InternalInconsistencyError(
                 f"{name} bar solve for {format_word(w)} could reach 2^63 at {format_word(x)}"
             )
-        shift = _DIGIT * k
-        try:
-            for y, f in image.items():
-                acc[y] = get(y, 0) + ((f.n * r) << (_DIGIT * f.low + shift))
-        except ValueError:  # a negative shift count
-            raise InternalInconsistencyError(
-                f"{name} bar image of {format_word(x)} reaches below the frame of {format_word(w)}"
-            ) from None
+        for y, n in slots.items():
+            acc[y] = get(y, 0) + ((n * r) << shift)
     if {y: n for y, n in acc.items() if n} != {x: g for x, (g, _) in coeffs.items()}:
         raise InternalInconsistencyError(
             f"solved {name} element for {format_word(w)} is not bar-invariant"
@@ -583,7 +596,7 @@ class KLTable(_Table):
     def _below(self, w: Word) -> tuple[Word, ...]:
         return lower_words(w)
 
-    def _bar(self, x: Word) -> Elt:
+    def _bar(self, x: Word) -> Packed:
         return bar_t(x)
 
     def doubled_basis_element(self, x: Word) -> Packed:

@@ -11,8 +11,9 @@ matrix from the standard basis to the bar-invariant one defines the twisted
 Kazhdan-Lusztig polynomials ``Psigma[y, w]``.
 
 With no braid relations ``a_w = T_s a_{w'}`` for ``w = s w' s* != s``, so
-``bar(a_w) = T_s**-1 bar(a_{w'})``: `bar_basis` takes one `gen_step` with
-the rules `MODULE_T_S_INVERSE` per letter pair.
+``bar(a_w) = T_s**-1 bar(a_{w'})``: `bar_basis` takes one `gen_step` per
+letter pair, with the rules ``q**2 MODULE_T_S_INVERSE`` packed at low >= 0,
+so its image lies packed in the frame ``v**-2len(w)``, as `hecke.bar_t`'s.
 
 `TwistedKLTable` is the table of `hecke.KLTable` on the module, with
 `lower_twisted` as its interval rule, `bar_basis` as its bar image and
@@ -42,12 +43,13 @@ from functools import lru_cache, partial
 from .hecke import (
     Elt,
     KLTable,
+    Packed,
     Q_PLUS_QINV,
     V_PLUS_VINV,
     _Table,
     corrected,
     expand_triangular,
-    gen_step,
+    image_step,
     packed,
 )
 from .laurent import _DIGIT, LaurentPoly, ONE, Q, ZERO, const, v_power
@@ -88,14 +90,19 @@ MODULE_T_S_INVERSE = {
 }
 
 
+_INVERSE_RULES = packed(MODULE_T_S_INVERSE, _Q2)  # q**2 T_s**-1, at low >= 0
+
+
 @lru_cache(maxsize=None)
-def bar_basis(spec: CoxeterSpec, w: Word) -> Elt:
-    """``bar(a_w) = T_s**-1 bar(a_{w[1:-1]})`` for ``s = w[0]``, and ``-T_s**-1 a_s``
-    at ``w = s``.  Returned dicts are shared through the cache; treat them as immutable."""
+def bar_basis(spec: CoxeterSpec, w: Word) -> Packed:
+    """``bar(a_w) = T_s**-1 bar(a_{w[1:-1]})`` for ``s = w[0]``, and
+    ``-T_s**-1 a_s = v**-2 (a_s + (1 - q) a_e)`` at ``w = s``, as an image
+    in the frame ``v**-2len(w)`` (see `hecke.t_inverse`), shared likewise."""
+    if len(w) == 1:
+        return {w: 1, IDENTITY: 1 - (1 << 2 * _DIGIT)}, 2
     if not w:
-        return {IDENTITY: ONE}
-    inner = {w: -ONE} if len(w) == 1 else bar_basis(spec, w[1:-1])
-    return gen_step(MODULE_T_S_INVERSE, partial(twist, spec), w[0], inner)
+        return {IDENTITY: 1}, 1
+    return image_step(_INVERSE_RULES, partial(twist, spec), w[0], bar_basis(spec, w[1:-1]))
 
 
 class TwistedKLTable(_Table):
@@ -124,7 +131,7 @@ class TwistedKLTable(_Table):
             return (ONE_LETTER[s],)
         return super()._minus(s, w1)
 
-    def _bar(self, x: Word) -> Elt:
+    def _bar(self, x: Word) -> Packed:
         return bar_basis(self.spec, x)
 
     def p(self, y: Word, w: Word) -> LaurentPoly:

@@ -3,14 +3,16 @@ product of two algebra elements on `LaurentPoly` values, the
 parameter-``q**2`` action on the module, the bar involutions on
 polynomials and on whole elements, the dagger anti-automorphism, the direct
 triple product, the difference recurrences of the twisted polynomials, the
-packed elements of the tables read as `LaurentPoly` values and back, and
-step-by-step references for the closed-form products, for the packed bar
-solve and for the packed change of basis."""
+packed elements of the tables and the packed bar images read as
+`LaurentPoly` values and back, and step-by-step references for the bar
+images, for the closed-form products, for the packed bar solve and for the
+packed change of basis."""
 
 from functools import partial
 
 from tklwb.hecke import (
     ALGEBRA_T_S,
+    ALGEBRA_T_S_INVERSE,
     Elt,
     InternalInconsistencyError,
     KLTable,
@@ -36,7 +38,7 @@ from tklwb.laurent import (
     substitute_v_squared,
     v_power,
 )
-from tklwb.twisted import MODULE_T_S, TwistedKLTable, bar_basis
+from tklwb.twisted import MODULE_T_S, MODULE_T_S_INVERSE, TwistedKLTable, bar_basis
 from tklwb.words import (
     CoxeterSpec,
     IDENTITY,
@@ -44,6 +46,7 @@ from tklwb.words import (
     bruhat_leq_twisted,
     dagger,
     format_word,
+    inverse,
     multiply,
     twist,
     twist_expression,
@@ -82,6 +85,31 @@ def encode(h: Elt, low: int) -> Packed:
     with its exact L1 norm as the bound."""
     slots = {u: f.n << (_DIGIT * (f.low - low)) for u, f in h.items()}
     return slots, sum(l1_norm(n) for n in slots.values())
+
+
+def unpack_image(image: Packed, x: Word) -> Elt:
+    """A bar image of ``x`` (`hecke.bar_t`, `twisted.bar_basis`) as
+    `LaurentPoly` values; every entry is checked to lie within its bound."""
+    return decode(image, -2 * len(x))
+
+
+def bar_t_reference(w: Word) -> Elt:
+    """`hecke.bar_t` on `LaurentPoly` values: ``bar(t_w) = (t_{w^-1})^-1``,
+    one `gen_step` by `ALGEBRA_T_S_INVERSE` per letter of ``w^-1``, in order."""
+    out = {IDENTITY: ONE}
+    for s in inverse(w):
+        out = gen_step(ALGEBRA_T_S_INVERSE, _left, s, out)
+    return out
+
+
+def bar_basis_reference(spec: CoxeterSpec, w: Word) -> Elt:
+    """`twisted.bar_basis` on `LaurentPoly` values: ``bar(a_w) = T_s**-1
+    bar(a_{w[1:-1]})`` for ``s = w[0]``, and ``-T_s**-1 a_s`` at ``w = s``,
+    one `gen_step` by `MODULE_T_S_INVERSE` per letter pair."""
+    if not w:
+        return {IDENTITY: ONE}
+    inner = {w: -ONE} if len(w) == 1 else bar_basis_reference(spec, w[1:-1])
+    return gen_step(MODULE_T_S_INVERSE, partial(twist, spec), w[0], inner)
 
 
 def basis(table, w: Word) -> Elt:
@@ -147,7 +175,7 @@ def bar_hecke(h: Elt) -> Elt:
     """The bar involution: ``v -> v**-1`` on coefficients, ``t_w -> bar(t_w)``."""
     out: Elt = {}
     for w, f in h.items():
-        add_scaled(out, bar_t(w), bar(f))
+        add_scaled(out, unpack_image(bar_t(w), w), bar(f))
     return out
 
 
@@ -168,7 +196,7 @@ def bar_module(spec: CoxeterSpec, m: Elt) -> Elt:
     """The module bar operator, extended by ``bar`` on coefficients."""
     out: Elt = {}
     for w, f in m.items():
-        add_scaled(out, bar_basis(spec, w), bar(f))
+        add_scaled(out, unpack_image(bar_basis(spec, w), w), bar(f))
     return out
 
 
@@ -302,12 +330,12 @@ def twisted_product_reference(spec: CoxeterSpec, x: Word, y: Word) -> Elt:
 
 def solve_bar_triangular_reference(w: Word, interval, bar_of, name: str) -> dict[Word, LaurentPoly]:
     """`hecke.solve_bar_triangular` on `LaurentPoly` values, one
-    `add_scaled` per bar image: the row ``x -> P[x, w]`` of the transition
-    matrix to the canonical basis, re-checked for bar-invariance and, entry
-    by entry, by `row_fault`."""
+    `add_scaled` per bar image, unpacked: the row ``x -> P[x, w]`` of the
+    transition matrix to the canonical basis, re-checked for bar-invariance
+    and, entry by entry, by `row_fault`."""
     coeffs: dict[Word, LaurentPoly] = {w: v_power(-len(w))}
     barred: dict[Word, LaurentPoly] = {}
-    add_scaled(barred, bar_of(w), v_power(len(w)))
+    add_scaled(barred, unpack_image(bar_of(w), w), v_power(len(w)))
     for x in reversed(interval):  # words of one length are incomparable
         if x == w:
             continue
@@ -320,7 +348,7 @@ def solve_bar_triangular_reference(w: Word, interval, bar_of, name: str) -> dict
         if g:
             px = g.shift(-len(x))
             coeffs[x] = px
-            add_scaled(barred, bar_of(x), bar(px))
+            add_scaled(barred, unpack_image(bar_of(x), x), bar(px))
     if barred != coeffs:
         raise InternalInconsistencyError(
             f"solved {name} element for {format_word(w)} is not bar-invariant"

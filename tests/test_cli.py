@@ -245,7 +245,7 @@ def test_a_huge_bar_image_exits_3(capsys, monkeypatch):
     # a coefficient of 2^62 in one bar image: the oracle stops before any
     # digit of its packed row could pass 2^63, and never returns a wrong row
     import tklwb.hecke as hecke
-    from tklwb.laurent import const
+    from tklwb.laurent import _DIGIT
     from tklwb.words import parse_word
 
     real = hecke.bar_t
@@ -253,9 +253,10 @@ def test_a_huge_bar_image_exits_3(capsys, monkeypatch):
 
     def corrupted(word):
         if word == ab:
-            out = dict(real(word))  # the cached dict is shared: copy it
-            out[b""] = const(2**62)
-            return out
+            slots, most = real(word)
+            out = dict(slots)  # the cached image is shared: copy it
+            out[b""] = 2**62 << (_DIGIT * 4)  # the constant 2^62, in the frame v**-4
+            return out, max(most, 2**62)
         return real(word)
 
     monkeypatch.setattr(hecke, "bar_t", corrupted)

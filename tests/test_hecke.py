@@ -17,6 +17,7 @@ from helpers import (
     mul,
     solve_bar_triangular_reference,
     triple_product_direct,
+    unpack_image,
 )
 from tklwb.hecke import (
     ALGEBRA_T_S_INVERSE,
@@ -29,6 +30,7 @@ from tklwb.hecke import (
     kl_correction,
     kl_product,
     kl_product_direct,
+    packed,
     t_inverse,
     triple_product,
 )
@@ -36,6 +38,8 @@ from tklwb.laurent import (
     ONE,
     Q,
     ZERO,
+    _DIGIT,
+    _strip,
     const,
     parse_poly,
     substitute_q_squared,
@@ -129,12 +133,13 @@ def test_gen_mul_left_examples():
 
 
 def test_t_inverse_examples():
-    assert t_inverse(b"") == elt(e="1")
-    assert t_inverse(w("a")) == elt(a="v^-2", e="-1+v^-2")
+    assert unpack_image(t_inverse(b""), b"") == elt(e="1")
+    assert unpack_image(t_inverse(w("a")), w("a")) == elt(a="v^-2", e="-1+v^-2")
     for text in ("a", "ab", "aba", "abcab", "ababa"):
         word = w(text)
-        assert mul(t_inverse(word), {word: ONE}) == {b"": ONE}
-        assert ref_mul_q2(doubled(t_inverse(word)), {word: ONE}) == {b"": ONE}
+        inv = unpack_image(t_inverse(word), word)
+        assert mul(inv, {word: ONE}) == {b"": ONE}
+        assert ref_mul_q2(doubled(inv), {word: ONE}) == {b"": ONE}
 
 
 def test_gen_mul_left_satisfies_quadratic_relation():
@@ -155,7 +160,7 @@ def test_t_inverse_inverts_every_short_word():
     words = enumerate_words(3, 6)
     assert len(words) == 190
     for word in words:
-        assert mul(t_inverse(word), {word: ONE}) == {b"": ONE}
+        assert mul(unpack_image(t_inverse(word), word), {word: ONE}) == {b"": ONE}
 
 
 def test_generator_steps_drop_cancelled_entries():
@@ -211,7 +216,7 @@ def test_q_squared_algebra_is_the_doubled_q_algebra():
     for word in enumerate_words(3, 5):
         inv = ref_t_inverse_q2(word)
         assert ref_mul_q2(inv, {word: ONE}) == {b"": ONE}
-        assert doubled(t_inverse(word)) == inv
+        assert doubled(unpack_image(t_inverse(word), word)) == inv
         lead = v_power(-2 * len(word))
         cw = {y: lead * substitute_q_squared(table.p(y, word)) for y in lower_words(word)}
         assert doubled(basis(table, word)) == cw
@@ -308,9 +313,10 @@ def test_oracle_detects_corruption(monkeypatch):
 
     def corrupted(word):
         if word == w("ab"):
-            out = dict(real(word))  # the cached dict is shared: copy it
-            add_scaled(out, {b"": ONE}, ONE)
-            return out
+            slots, most = real(word)
+            out = dict(slots)  # the cached image is shared: copy it
+            add_scaled(out, {b"": 1 << (_DIGIT * 4)}, 1)  # + t_e, in the frame v**-4
+            return out, most + 1
         return real(word)
 
     monkeypatch.setattr(hecke, "bar_t", corrupted)
@@ -318,25 +324,20 @@ def test_oracle_detects_corruption(monkeypatch):
         KLTable().oracle_row(w("aba"))
 
 
-def test_an_image_below_the_frame_is_an_inconsistency(monkeypatch):
-    # bar(t_x) lies in v**-2len(x) .. v**0; far below it, the packed scatter
-    # would shift by a negative count
-    import tklwb.hecke as hecke
+def test_packed_needs_the_inverse_rules_scaled():
+    # the inverse rules reach v**-2 (q**-2 on the module): unscaled, they
+    # would pack below low 0; scaled by q (q**2), every rule lies at low >= 0,
+    # so a bar image stays in its frame v**-2len(x)
+    from tklwb.twisted import MODULE_T_S_INVERSE
 
-    real = hecke.bar_t
-
-    def corrupted(word):
-        if word == w("ab"):
-            out = dict(real(word))  # the cached dict is shared: copy it
-            out[b""] = v_power(-100)
-            return out
-        return real(word)
-
-    monkeypatch.setattr(hecke, "bar_t", corrupted)
-    # the words print as letters
-    message = r"^P bar image of ab reaches below the frame of aba$"
-    with pytest.raises(hecke.InternalInconsistencyError, match=message):
-        KLTable().oracle_row(w("aba"))
+    for rules, scale, growth in ((ALGEBRA_T_S_INVERSE, Q, 3), (MODULE_T_S_INVERSE, v_power(4), 5)):
+        with pytest.raises(ValueError):
+            packed(rules)
+        assert packed(rules, scale)[1] == growth
+        table = packed(rules, scale)[0]
+        assert table.keys() == rules.keys()
+        for k, (a, b) in rules.items():
+            assert [_strip(0, n, 0) for n in table[k]] == [scale * a, scale * b]
 
 
 @pytest.mark.parametrize("star", [None, "(a b)", "id"])
@@ -353,6 +354,25 @@ def test_oracle_rows_match_the_reference_solver(star):
     for word in words:
         got = table.oracle_row(word)
         want = solve_bar_triangular_reference(word, table.interval(word), table._bar, table.name)
+        assert {y: (p.low, p.n) for y, p in got.items()} == {
+            y: (p.low, p.n) for y, p in want.items()
+        }
+
+
+def test_long_rows_refit_their_bounds():
+    """At gens 2 the carried image bounds (``3**len(x)`` on the algebra,
+    ``5**(len(x) / 2)`` on the module) pass ``2**63`` near length 40 and rank
+    55, and so does their sum over a row: the images and the solve refit
+    them from the exact norms, and the long rows still match the reference."""
+    from tklwb.twisted import TwistedKLTable
+
+    dihedral = CoxeterSpec.make(2, "id")
+    for table, length in ((KLTable(), 60), (TwistedKLTable(dihedral), 101)):
+        word = bytes(i % 2 for i in range(length))
+        below = table.interval(word)
+        assert sum(table._bar(x)[1] for x in below) >= 2**63
+        got = table.oracle_row(word)
+        want = solve_bar_triangular_reference(word, below, table._bar, table.name)
         assert {y: (p.low, p.n) for y, p in got.items()} == {
             y: (p.low, p.n) for y, p in want.items()
         }

@@ -9,12 +9,15 @@ from helpers import (
     alternating,
     alternating_twist,
     bar_hecke,
+    bar_basis_reference,
     bar_module,
+    bar_t_reference,
     basis,
     expand,
     expand_triangular_reference,
     gen_action,
     hecke_action,
+    unpack_image,
 )
 from tklwb.hecke import (
     Q_PLUS_QINV,
@@ -24,7 +27,7 @@ from tklwb.hecke import (
     gen_step,
     t_inverse,
 )
-from tklwb.laurent import ONE, Q, V, ZERO, parse_poly, substitute_q_squared, v_power
+from tklwb.laurent import ONE, Q, V, ZERO, l1_norm, parse_poly, substitute_q_squared, v_power
 from tklwb.twisted import (
     MODULE_T_S,
     MODULE_T_S_INVERSE,
@@ -44,6 +47,7 @@ from tklwb.words import (
     format_word,
     inverse,
     lower_twisted,
+    lower_words,
     multiply,
     parse_word,
     star_word,
@@ -127,7 +131,8 @@ def test_hecke_action_inverts_through_t_inverse():
         ms.append({u: parse_poly("v^-1+2q") for u in enumerate_twisted_involutions(spec, 1)})
         for u in enumerate_words(spec.gen_count, 3):
             for m in ms:
-                assert hecke_action(spec, t_inverse(u), hecke_action(spec, {u: ONE}, m)) == m
+                inv = unpack_image(t_inverse(u), u)
+                assert hecke_action(spec, inv, hecke_action(spec, {u: ONE}, m)) == m
 
 
 def test_hecke_action_is_compatible_with_multiplication():
@@ -148,8 +153,8 @@ def test_hecke_action_is_compatible_with_multiplication():
 
 
 def test_bar_examples():
-    assert bar_basis(ID3, b"") == {b"": ONE}
-    assert bar_basis(ID3, w("a")) == melt(a="v^-2", e="-1+v^-2")
+    assert unpack_image(bar_basis(ID3, b""), b"") == {b"": ONE}
+    assert unpack_image(bar_basis(ID3, w("a")), w("a")) == melt(a="v^-2", e="-1+v^-2")
     assert bar_module(ID3, {b"": v_power(1)}) == {b"": v_power(-1)}
 
 
@@ -199,9 +204,33 @@ def test_bar_basis_matches_the_defining_formula(gens, star, max_rho):
     spec = CoxeterSpec.make(gens, star)
     for word in enumerate_twisted_involutions(spec, max_rho):
         sign = -ONE if len(word) % 2 else ONE
-        got = bar_basis(spec, word)
-        assert got == hecke_action(spec, bar_t(word), {inverse(word): sign}), word
+        got = unpack_image(bar_basis(spec, word), word)
+        want = hecke_action(spec, unpack_image(bar_t(word), word), {inverse(word): sign})
+        assert got == want, word
         assert all(f.n for f in got.values()), word
+
+
+@pytest.mark.parametrize(
+    "gens, star, max_len", [(3, None, 8), (3, "id", 5), (3, "(a b)", 5), (4, "(a b)(c d)", 4)]
+)
+def test_packed_bar_images_match_the_references(gens, star, max_len):
+    """Each packed image, in the frame v**-2len(x), is the `LaurentPoly`
+    reference's: its support is the interval of ``x`` and its carried bound
+    is at least the largest L1 norm of its entries.  ``star=None`` is the
+    algebra (``bar(t_x)`` of the words of length <= 8)."""
+    if star is None:
+        words = enumerate_words(gens, max_len)
+        image, want, below = bar_t, bar_t_reference, lower_words
+    else:
+        spec = CoxeterSpec.make(gens, star)
+        words = enumerate_twisted_involutions(spec, max_len)
+        fns = (bar_basis, bar_basis_reference, lower_twisted)
+        image, want, below = (partial(f, spec) for f in fns)
+    for x in words:
+        slots, most = got = image(x)
+        assert unpack_image(got, x) == want(x), x
+        assert set(slots) == set(below(x)), x
+        assert most >= max(map(l1_norm, slots.values())), x
 
 
 # -- oracle ----------------------------------------------------------------------
